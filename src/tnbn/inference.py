@@ -98,27 +98,33 @@ def _reduce(f: Factor, idx: int, state_pos: int) -> Factor:
 
 @dataclass(frozen=True, eq=False)
 class CompiledNetwork:
-    """A validated network with per-node state tables and CPT factors."""
+    """A validated network with per-node state tables and CPT factors.
+
+    `axes` maps each node to its factor axis (its position in `node_ids`);
+    `positions` maps each node's states to their enumeration positions.
+    """
 
     spec: NetworkSpec
     topo: tuple[str, ...]
+    node_ids: tuple[str, ...]
     states: Mapping[str, tuple[NodeState, ...]]
+    axes: Mapping[str, int]
+    positions: Mapping[str, Mapping[NodeState, int]]
     factors: tuple[Factor, ...]
 
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return self.spec.node_ids()
-
     def index(self, node_id: str) -> int:
-        self.spec.node(node_id)  # raises UnknownNodeError
-        return self.node_ids.index(node_id)
+        if node_id not in self.axes:
+            self.spec.node(node_id)  # raises UnknownNodeError
+        return self.axes[node_id]
 
     def state_index(self, node_id: str, state: NodeState) -> int:
-        node = self.spec.node(node_id)  # raises UnknownNodeError
-        for i, s in enumerate(self.states[node_id]):
-            if s == state:
-                return i
-        raise UnknownStateError(node_id, _state_text(state), node.state_labels())
+        self.index(node_id)  # raises UnknownNodeError
+        try:
+            return self.positions[node_id][state]
+        except KeyError:
+            raise UnknownStateError(
+                node_id, _state_text(state), self.spec.node(node_id).state_labels()
+            ) from None
 
 
 def compile_network(spec: NetworkSpec) -> CompiledNetwork:
@@ -146,7 +152,7 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
 
     order = toposort(spec)
     assert order is not None  # a cycle would have failed validation
-    return CompiledNetwork(spec, order, states, tuple(factors))
+    return CompiledNetwork(spec, order, ids, states, index, pos, tuple(factors))
 
 
 def _evidence_positions(net: CompiledNetwork, evidence: Optional[Evidence]) -> dict[str, int]:
@@ -154,10 +160,10 @@ def _evidence_positions(net: CompiledNetwork, evidence: Optional[Evidence]) -> d
 
 
 def _reduced_factors(net: CompiledNetwork, ev_pos: Mapping[str, int]) -> list[Factor]:
+    ev_axes = [(net.axes[nid], p) for nid, p in ev_pos.items()]
     out = []
     for f in net.factors:
-        for nid, p in ev_pos.items():
-            i = net.index(nid)
+        for i, p in ev_axes:
             if i in f.scope:
                 f = _reduce(f, i, p)
         out.append(f)
@@ -200,14 +206,13 @@ def posterior(net: CompiledNetwork, query: str, evidence: Optional[Evidence] = N
     Evidence on the query node itself yields the matching point mass.
     Evidence whose probability is zero raises ZeroProbabilityEvidenceError.
     """
-    net.spec.node(query)  # raises UnknownNodeError for unknown ids
+    qidx = net.index(query)  # raises UnknownNodeError for unknown ids
     ev_pos = _evidence_positions(net, evidence)
     qstates = net.states[query]
     if query in ev_pos:
         probs = np.zeros(len(qstates))
         probs[ev_pos[query]] = 1.0
         return Distribution(query, qstates, probs)
-    qidx = net.index(query)
     remaining = _eliminate(_reduced_factors(net, ev_pos), keep={qidx})
     total = Factor((), np.array(1.0))
     for f in remaining:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
+from .errors import RangeOverflowError, UnknownNodeError, UnknownStateError
+
 ROW_SUM_TOLERANCE = 1e-9
 
 # Reserved by the model-file / CLI / event-log grammars (state keys use
@@ -134,8 +136,6 @@ class NodeSpec:
 
     def parse_state_label(self, text: str) -> NodeState:
         """Inverse of `state_label`; raises UnknownStateError otherwise."""
-        from .errors import UnknownStateError
-
         text = text.strip()
         value, sep, rest = text.partition("@")
         if not sep:
@@ -182,8 +182,6 @@ def resolve_interval(node: NodeSpec, elapsed: float) -> int:
     Containment is half-open [lo, hi) except in the last interval, which is
     closed. Times outside the node's covered range raise RangeOverflowError.
     """
-    from .errors import RangeOverflowError
-
     if node.kind is not NodeKind.TEMPORAL:
         raise ValueError(f"node {node.id!r} has no intervals to resolve")
     if elapsed < 0:
@@ -230,8 +228,6 @@ class NetworkSpec:
     tables: Mapping[str, ConditionalTable]
 
     def node(self, node_id: str) -> NodeSpec:
-        from .errors import UnknownNodeError
-
         for n in self.nodes:
             if n.id == node_id:
                 return n

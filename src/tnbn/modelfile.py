@@ -6,8 +6,9 @@ each row by the parent states joined with "|" (the empty string for root
 nodes) and list the child probabilities in state-enumeration order.
 
 Event logs are plain text, one event per line as "tc node value", split on
-tabs when the line contains any, otherwise on whitespace. Blank lines and
-text after "#" are ignored. File order is observation order.
+tabs when the line contains any, otherwise on whitespace. Timestamps must be
+finite numbers. Blank lines and text after "#" are ignored. File order is
+observation order.
 
 Structural problems (unparseable JSON, wrong shapes, unknown state labels)
 raise ModelFormatError; a file that parses into a well-formed but invalid
@@ -17,6 +18,7 @@ network is reported through `validate` instead.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Union
 
@@ -233,6 +235,8 @@ def parse_event_log(text: str) -> list[ObservedEvent]:
             raise ModelFormatError(
                 f"line {lineno}: timestamp {tc_text!r} is not a number"
             ) from None
+        if not math.isfinite(tc):
+            raise ModelFormatError(f"line {lineno}: timestamp {tc_text!r} is not finite")
         events.append(ObservedEvent(node, value, tc))
     return events
 

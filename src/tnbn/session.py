@@ -7,14 +7,15 @@ later temporal event is resolved into an interval by the elapsed time
 between its timestamp and the anchor's. A temporal event that arrives first
 cannot be resolved yet (there is nothing to measure elapsed time against),
 so it is held pending and expanded into weighted scenarios, one per
-candidate interval, until the next non-default event settles it.
+candidate interval, until the next non-default event settles it. Only the
+first event can be held this way, so at most one event is ever pending.
 
 Sessions are immutable; `observe` returns the extended session.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
@@ -64,7 +65,7 @@ def _absolute_window(iv: TimeInterval, reference_tc: float, event_tc: float) -> 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One way of resolving the pending observations, with its weight."""
+    """One way of resolving the pending observation, with its weight."""
 
     assignment: Mapping[str, NodeState]
     evidence: Mapping[str, NodeState]
@@ -120,8 +121,11 @@ class Session:
 
         An event whose elapsed time falls outside its node's covered range is
         recorded as inconsistent (its evidence is dropped) rather than
-        raised, since later events may still be fine.
+        raised, since later events may still be fine. A non-finite timestamp
+        raises ValueError.
         """
+        if not math.isfinite(event.tc):
+            raise ValueError(f"event time of {event.node!r} must be finite, got {event.tc}")
         node = self.net.spec.node(event.node)
         legal = ([node.default_value] if node.default_value is not None else []) + list(node.values)
         if event.value not in legal:
@@ -133,30 +137,33 @@ class Session:
 
         anchor = self.anchor or event
         resolved = dict(self.resolved)
-        pending = list(self.pending)
+        pending = self.pending
         inconsistent = list(self.inconsistent)
 
         if event.value == node.default_value:
             # A no-change assertion: no interval to resolve, nothing settled.
             resolved[node.id] = ResolvedObservation(NodeState(event.value), event.tc)
-        elif node.kind is NodeKind.INSTANTANEOUS:
-            resolved[node.id] = ResolvedObservation(NodeState(event.value), event.tc)
-            self._settle(pending, inconsistent, resolved, event)
-            pending = []
-        elif self.anchor is None:
+        elif node.kind is NodeKind.TEMPORAL and self.anchor is None:
             # First event and temporal: elapsed time is unmeasurable so far.
-            pending.append(event)
+            pending = (event,)
         else:
-            self._resolve_timed(resolved, inconsistent, node, event, self.anchor.tc)
-            self._settle(pending, inconsistent, resolved, event)
-            pending = []
+            if node.kind is NodeKind.INSTANTANEOUS:
+                resolved[node.id] = ResolvedObservation(NodeState(event.value), event.tc)
+            else:
+                self._resolve_timed(resolved, inconsistent, node, event, self.anchor.tc)
+            if pending:
+                # The held first event is measured against this one.
+                (held,) = pending
+                held_node = self.net.spec.node(held.node)
+                self._resolve_timed(resolved, inconsistent, held_node, held, event.tc)
+                pending = ()
 
         return replace(
             self,
             events=self.events + (event,),
             anchor=anchor,
             resolved=resolved,
-            pending=tuple(pending),
+            pending=pending,
             inconsistent=tuple(inconsistent),
         )
 
@@ -177,45 +184,28 @@ class Session:
         window = _absolute_window(node.intervals[idx], reference_tc, event.tc)
         resolved[node.id] = ResolvedObservation(NodeState(event.value, idx), event.tc, window)
 
-    def _settle(
-        self,
-        pending: list[ObservedEvent],
-        inconsistent: list[tuple[ObservedEvent, str]],
-        resolved: dict[str, ResolvedObservation],
-        settling_event: ObservedEvent,
-    ) -> None:
-        for held in pending:
-            node = self.net.spec.node(held.node)
-            self._resolve_timed(resolved, inconsistent, node, held, settling_event.tc)
-
     def scenarios(self) -> list[Scenario]:
-        """Weighted candidate resolutions of the pending observations.
+        """Weighted candidate resolutions of the pending observation.
 
-        Weights are posterior probabilities of each interval assignment given
-        the resolved evidence, sorted most likely first (ties keep
-        enumeration order).
+        Weights are posterior probabilities of each interval of the held
+        event given the resolved evidence, sorted most likely first (ties
+        keep interval order).
         """
         if not self.pending:
             raise NoPendingObservationError(
                 "no pending observations; every observed node is resolved"
             )
+        (held,) = self.pending
         base = self.resolved_evidence
-        candidate_lists = []
-        for held in self.pending:
-            node = self.net.spec.node(held.node)
-            candidate_lists.append(
-                [NodeState(held.value, i) for i in range(len(node.intervals))]
-            )
         raw: list[tuple[dict[str, NodeState], dict[str, NodeState], float]] = []
-        for combo in itertools.product(*candidate_lists):
-            assignment = {e.node: s for e, s in zip(self.pending, combo)}
-            evidence = dict(base)
-            evidence.update(assignment)
+        for i in range(len(self.net.spec.node(held.node).intervals)):
+            assignment = {held.node: NodeState(held.value, i)}
+            evidence = {**base, **assignment}
             raw.append((assignment, evidence, evidence_probability(self.net, evidence)))
         total = sum(w for _, _, w in raw)
         if not total > 0.0:
             raise ZeroProbabilityEvidenceError(
-                "every candidate resolution of the pending observations has "
+                "every candidate resolution of the pending observation has "
                 "probability zero given the resolved evidence"
             )
         out = [Scenario(a, e, w / total) for a, e, w in raw]
@@ -230,31 +220,32 @@ class Session:
             return [(self.resolved_evidence, 1.0)]
         return [(dict(s.evidence), s.weight) for s in self.scenarios()]
 
-    def _mixed_posterior(self, node_id: str) -> Distribution:
+    def _forecast(
+        self, node_id: str, scenario_set: list[tuple[dict[str, NodeState], float]]
+    ) -> Forecast:
+        """The scenario-weighted posterior of one node, with state windows."""
         states = self.net.states[node_id]
         probs = np.zeros(len(states))
-        for evidence, weight in self.scenario_set:
+        for evidence, weight in scenario_set:
             if weight > 0.0:
                 probs = probs + weight * posterior(self.net, node_id, evidence).probs
-        return Distribution(node_id, states, probs)
-
-    def _forecast(self, node_id: str) -> Forecast:
-        dist = self._mixed_posterior(node_id)
         node = self.net.spec.node(node_id)
         anchor_tc = self.anchor.tc
         windows: list[Optional[tuple[float, float]]] = []
-        for state in dist.states:
+        for state in states:
             if state.interval_index is None:
                 windows.append(None)
             else:
                 iv = node.intervals[state.interval_index]
                 windows.append((anchor_tc + iv.lo, anchor_tc + iv.hi))
-        return Forecast(dist, tuple(windows))
+        return Forecast(Distribution(node_id, states, probs), tuple(windows))
 
     def _report(self, targets: list[str]) -> PredictionReport:
         assert self.anchor is not None
+        # with nothing to forecast, the scenarios need not be weighed at all
+        scenario_set = self.scenario_set if targets else []
         return PredictionReport(
-            self.anchor, {nid: self._forecast(nid) for nid in targets}
+            self.anchor, {nid: self._forecast(nid, scenario_set) for nid in targets}
         )
 
     def predict(self) -> PredictionReport:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyTierError, UnknownStateError
-from .inference import CompiledNetwork, Distribution
+from .inference import CompiledNetwork, Distribution, _state_text
 from .model import NetworkSpec, NodeKind, NodeState
 from .session import ObservedEvent, open_session
 
@@ -99,10 +99,7 @@ def rbs_score(predicted: Distribution, actual: NodeState) -> float:
 def _require_state(predicted: Distribution, actual: NodeState) -> None:
     if not any(s == actual for s in predicted.states):
         raise UnknownStateError(
-            predicted.node,
-            actual.value if actual.interval_index is None
-            else f"{actual.value}@interval#{actual.interval_index}",
-            [repr(s) for s in predicted.states],
+            predicted.node, _state_text(actual), [repr(s) for s in predicted.states]
         )
 
 

@@ -166,6 +166,14 @@ def test_session_bad_log_exits_2(model_path, tmp_path):
     assert result.returncode == 2
 
 
+def test_session_non_finite_timestamp_exits_2(model_path, tmp_path):
+    log = tmp_path / "intake.log"
+    log.write_text("nan C severe\n115 VS unstable\n")
+    result = run_cli("session", model_path, str(log))
+    assert result.returncode == 2
+    assert "line 1" in result.stderr and "not finite" in result.stderr
+
+
 def test_simulate_deterministic_output(model_path):
     first = run_cli("simulate", model_path, "-n", "2", "-s", "5")
     second = run_cli("simulate", model_path, "-n", "2", "-s", "5")

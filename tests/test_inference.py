@@ -81,6 +81,23 @@ def test_unknown_query_nodes_and_states(accident_net):
     assert "unstable@[0,10]" in str(info.value)
 
 
+def test_index_maps_follow_node_and_state_order(accident_spec, accident_net):
+    assert accident_net.node_ids == accident_spec.node_ids()
+    for i, nid in enumerate(accident_spec.node_ids()):
+        assert accident_net.index(nid) == i
+        for j, state in enumerate(accident_net.states[nid]):
+            assert accident_net.state_index(nid, state) == j
+    with pytest.raises(UnknownNodeError) as info:
+        accident_net.index("XX")
+    assert str(info.value) == "no node 'XX' in network 'accident'; nodes: C, HI, IB, PD, VS"
+    with pytest.raises(UnknownNodeError):
+        accident_net.state_index("XX", NodeState("y"))
+    with pytest.raises(UnknownStateError) as info:
+        accident_net.state_index("VS", NodeState("unstable", 3))
+    assert "unstable@interval#3" in str(info.value)
+    assert "unstable@[30,60]" in str(info.value)
+
+
 def test_evidence_probability(accident_net):
     assert evidence_probability(accident_net, {}) == pytest.approx(1.0, abs=TOL)
     assert evidence_probability(accident_net, {"C": NodeState("severe")}) == pytest.approx(

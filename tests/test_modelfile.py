@@ -229,6 +229,12 @@ def test_parse_event_log_errors():
         parse_event_log("100 C severe\n101 VS too many words\n")
 
 
+@pytest.mark.parametrize("tc", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_parse_event_log_rejects_non_finite_timestamps(tc):
+    with pytest.raises(ModelFormatError, match=f"line 2: timestamp '{tc}' is not finite"):
+        parse_event_log(f"100 C severe\n{tc} VS unstable\n")
+
+
 def test_load_event_log(tmp_path):
     path = tmp_path / "events.log"
     path.write_text("100\tC\tsevere\n")

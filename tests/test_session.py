@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import tnbn.session
 
 from tnbn import (
     DuplicateObservationError,
@@ -185,6 +188,45 @@ def test_pending_settles_within_range_of_the_new_event(accident_net):
     assert s.resolved["VS"].window == (26, 36)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_at_most_the_anchor_is_ever_pending(seed):
+    # random networks, every node reported once in a random order
+    rng = np.random.default_rng(seed)
+    spec = random_network(rng, temporal_share=0.7)
+    s = open_session(compile_network(spec))
+    for i in rng.permutation(len(spec.nodes)):
+        node = spec.nodes[int(i)]
+        values = list(node.values)
+        if node.default_value is not None:
+            values.append(node.default_value)
+        value = values[int(rng.integers(len(values)))]
+        s = s.observe(ObservedEvent(node.id, value, float(rng.integers(0, 40))))
+        assert len(s.pending) <= 1
+        assert all(e == s.anchor for e in s.pending)
+
+
+def test_pending_predict_weighs_the_scenarios_once(accident_net, monkeypatch):
+    counts = {"evidence_probability": 0, "posterior": 0, "scenarios": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("evidence_probability", "posterior"):
+        monkeypatch.setattr(tnbn.session, name, counted(name, getattr(tnbn.session, name)))
+    monkeypatch.setattr(
+        tnbn.session.Session, "scenarios", counted("scenarios", tnbn.session.Session.scenarios)
+    )
+    s = observe_all(open_session(accident_net), ("VS", "unstable", 115))
+    report = s.predict()
+    # three candidate intervals of VS, four forecast nodes
+    assert list(report.forecasts) == ["C", "HI", "IB", "PD"]
+    assert counts == {"evidence_probability": 3, "posterior": 12, "scenarios": 1}
+
+
 # --- observation rules --------------------------------------------------------
 
 def test_duplicate_observation_is_rejected(accident_net):
@@ -205,6 +247,19 @@ def test_unknown_node_and_value_are_rejected(accident_net):
     with pytest.raises(UnknownStateError) as info:
         s.observe(ObservedEvent("VS", "wobbly", 0))
     assert "normal" in str(info.value) and "unstable" in str(info.value)
+
+
+@pytest.mark.parametrize("tc", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_event_time_is_rejected(accident_net, tc):
+    with pytest.raises(ValueError, match="must be finite"):
+        open_session(accident_net).observe(ObservedEvent("C", "severe", tc))
+    s = observe_all(open_session(accident_net), ("C", "severe", 100))
+    with pytest.raises(ValueError, match="must be finite"):
+        s.observe(ObservedEvent("VS", "unstable", tc))
+    # the rejected report left nothing behind: VS can still be observed
+    s = observe_all(s, ("VS", "unstable", 115))
+    assert s.resolved["VS"].state == NodeState("unstable", 1)
+    assert s.inconsistent == ()
 
 
 def test_observe_returns_a_new_session(accident_net):
