@@ -49,6 +49,20 @@ class JointSizeError(TNBNError):
     """The full joint table would exceed the enumeration size guard."""
 
 
+class FactorSizeError(TNBNError):
+    """Eliminating a node would build an intermediate factor above the size
+    guard; names the node, the factor's scope width and its cell count."""
+
+    def __init__(self, node: str, width: int, cells: int, limit: int):
+        self.node = node
+        self.width = width
+        self.cells = cells
+        super().__init__(
+            f"eliminating node {node!r} would build a factor over {width} nodes "
+            f"with {cells} cells (limit {limit})"
+        )
+
+
 class DuplicateObservationError(TNBNError):
     """A node was observed more than once in the same session."""
 

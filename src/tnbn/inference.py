@@ -1,20 +1,25 @@
 """Exact inference: factor elimination plus a full-joint enumeration oracle.
 
-`posterior` answers queries by variable elimination over factors. As a
-cross-check, `joint_enumerate` builds the complete joint table over every
-state assignment without using the factor machinery at all; the two paths
-share nothing but the network definition, so agreement between them is a
-meaningful test of both.
+`posterior` answers queries by variable elimination over factors, after
+pruning every node that is neither the query, nor evidence, nor an ancestor
+of either (such barren nodes sum out to one). `marginals` answers several
+targets from one such factor set, pruned to the ancestral set of all of
+them. As a cross-check, `joint_enumerate` builds the complete joint table
+over every state assignment without using the factor machinery at all;
+the two paths share nothing but the network definition, so agreement
+between them is a meaningful test of both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from .errors import (
+    FactorSizeError,
     InvalidNetworkError,
     JointSizeError,
     UnknownStateError,
@@ -30,6 +35,8 @@ from .model import (
 
 # joint_enumerate refuses to build tables above this many cells
 JOINT_SIZE_LIMIT = 10_000_000
+# elimination refuses to build intermediate factors above this many cells
+FACTOR_SIZE_LIMIT = 10_000_000
 
 Evidence = Mapping[str, NodeState]
 
@@ -159,20 +166,35 @@ def _evidence_positions(net: CompiledNetwork, evidence: Optional[Evidence]) -> d
     return {nid: net.state_index(nid, st) for nid, st in dict(evidence or {}).items()}
 
 
-def _reduced_factors(net: CompiledNetwork, ev_pos: Mapping[str, int]) -> list[Factor]:
+def _reduced_factors(
+    net: CompiledNetwork, ev_pos: Mapping[str, int], queries: Iterable[int] = ()
+) -> list[Factor]:
+    """The CPT factors of the queries, the evidence and their ancestors, each
+    reduced by the evidence. Every other node is barren: its factors sum to
+    one, so dropping them leaves the answer unchanged."""
     ev_axes = [(net.axes[nid], p) for nid, p in ev_pos.items()]
+    # factor i is node i's CPT, so its scope is node i plus its parents
+    relevant = {i for i, _ in ev_axes} | set(queries)
+    frontier = list(relevant)
+    while frontier:
+        for i in net.factors[frontier.pop()].scope:
+            if i not in relevant:
+                relevant.add(i)
+                frontier.append(i)
     out = []
-    for f in net.factors:
-        for i, p in ev_axes:
-            if i in f.scope:
-                f = _reduce(f, i, p)
+    for i in sorted(relevant):
+        f = net.factors[i]
+        for j, p in ev_axes:
+            if j in f.scope:
+                f = _reduce(f, j, p)
         out.append(f)
     return out
 
 
-def _eliminate(factors: list[Factor], keep: set[int]) -> list[Factor]:
+def _eliminate(net: CompiledNetwork, factors: list[Factor], keep: set[int]) -> list[Factor]:
     """Sum out every variable not in `keep`, smallest factor-graph degree
-    first; ties go to the lowest node index."""
+    first; ties go to the lowest node index. Raises FactorSizeError before
+    building a product larger than FACTOR_SIZE_LIMIT cells."""
     factors = list(factors)
     while True:
         present: set[int] = set()
@@ -181,7 +203,7 @@ def _eliminate(factors: list[Factor], keep: set[int]) -> list[Factor]:
         candidates = present - keep
         if not candidates:
             return factors
-        best: Optional[tuple[int, int]] = None
+        best: Optional[tuple[int, int, set[int]]] = None
         for v in sorted(candidates):
             neighbors: set[int] = set()
             for f in factors:
@@ -189,8 +211,11 @@ def _eliminate(factors: list[Factor], keep: set[int]) -> list[Factor]:
                     neighbors.update(f.scope)
             neighbors.discard(v)
             if best is None or len(neighbors) < best[0]:
-                best = (len(neighbors), v)
-        v = best[1]
+                best = (len(neighbors), v, neighbors)
+        _, v, neighbors = best
+        cells = math.prod(len(net.states[net.node_ids[i]]) for i in neighbors | {v})
+        if cells > FACTOR_SIZE_LIMIT:
+            raise FactorSizeError(net.node_ids[v], len(neighbors) + 1, cells, FACTOR_SIZE_LIMIT)
         touching = [f for f in factors if v in f.scope]
         rest = [f for f in factors if v not in f.scope]
         product = touching[0]
@@ -200,20 +225,16 @@ def _eliminate(factors: list[Factor], keep: set[int]) -> list[Factor]:
         factors = rest
 
 
-def posterior(net: CompiledNetwork, query: str, evidence: Optional[Evidence] = None) -> Distribution:
-    """P(query | evidence) by variable elimination.
-
-    Evidence on the query node itself yields the matching point mass.
-    Evidence whose probability is zero raises ZeroProbabilityEvidenceError.
-    """
-    qidx = net.index(query)  # raises UnknownNodeError for unknown ids
-    ev_pos = _evidence_positions(net, evidence)
+def _posterior_from(
+    net: CompiledNetwork, factors: list[Factor], query: str, ev_pos: Mapping[str, int]
+) -> Distribution:
+    """P(query | evidence) from CPT factors already reduced by the evidence."""
     qstates = net.states[query]
     if query in ev_pos:
         probs = np.zeros(len(qstates))
         probs[ev_pos[query]] = 1.0
         return Distribution(query, qstates, probs)
-    remaining = _eliminate(_reduced_factors(net, ev_pos), keep={qidx})
+    remaining = _eliminate(net, factors, keep={net.axes[query]})
     total = Factor((), np.array(1.0))
     for f in remaining:
         total = _multiply(total, f)
@@ -225,10 +246,41 @@ def posterior(net: CompiledNetwork, query: str, evidence: Optional[Evidence] = N
     return Distribution(query, qstates, np.asarray(total.values, dtype=float) / z)
 
 
-def evidence_probability(net: CompiledNetwork, evidence: Optional[Evidence] = None) -> float:
-    """P(evidence): the normalizing constant after reducing every factor."""
+def posterior(net: CompiledNetwork, query: str, evidence: Optional[Evidence] = None) -> Distribution:
+    """P(query | evidence) by variable elimination.
+
+    Only the factors of the query, the evidence and their ancestors enter
+    the elimination.
+    Evidence on the query node itself yields the matching point mass.
+    Evidence whose probability is zero raises ZeroProbabilityEvidenceError.
+    """
+    qidx = net.index(query)  # raises UnknownNodeError for unknown ids
     ev_pos = _evidence_positions(net, evidence)
-    remaining = _eliminate(_reduced_factors(net, ev_pos), keep=set())
+    return _posterior_from(net, _reduced_factors(net, ev_pos, [qidx]), query, ev_pos)
+
+
+def marginals(
+    net: CompiledNetwork, targets: Iterable[str], evidence: Optional[Evidence] = None
+) -> dict[str, Distribution]:
+    """P(target | evidence) for every target, in target order.
+
+    The factors of the targets, the evidence and their ancestors are reduced
+    once, and every target is eliminated from that one shared set. A target
+    with evidence on it yields the matching point mass. Evidence whose
+    probability is zero raises ZeroProbabilityEvidenceError.
+    """
+    targets = list(targets)
+    axes = [net.index(t) for t in targets]  # raises UnknownNodeError for unknown ids
+    ev_pos = _evidence_positions(net, evidence)
+    factors = _reduced_factors(net, ev_pos, axes)
+    return {t: _posterior_from(net, factors, t, ev_pos) for t in targets}
+
+
+def evidence_probability(net: CompiledNetwork, evidence: Optional[Evidence] = None) -> float:
+    """P(evidence): the normalizing constant after reducing the factors of
+    the evidence and its ancestors."""
+    ev_pos = _evidence_positions(net, evidence)
+    remaining = _eliminate(net, _reduced_factors(net, ev_pos), keep=set())
     total = 1.0
     for f in remaining:
         total *= float(f.values)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import RangeOverflowError, UnknownNodeError, UnknownStateError
@@ -227,14 +228,21 @@ class NetworkSpec:
     edges: tuple[tuple[str, str], ...]
     tables: Mapping[str, ConditionalTable]
 
-    def node(self, node_id: str) -> NodeSpec:
+    @cached_property
+    def _nodes_by_id(self) -> dict[str, NodeSpec]:
+        by_id: dict[str, NodeSpec] = {}
         for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise UnknownNodeError(
-            f"no node {node_id!r} in network {self.name!r}; nodes: "
-            + ", ".join(n.id for n in self.nodes)
-        )
+            by_id.setdefault(n.id, n)  # a duplicated id resolves to its first node
+        return by_id
+
+    def node(self, node_id: str) -> NodeSpec:
+        try:
+            return self._nodes_by_id[node_id]
+        except KeyError:
+            raise UnknownNodeError(
+                f"no node {node_id!r} in network {self.name!r}; nodes: "
+                + ", ".join(n.id for n in self.nodes)
+            ) from None
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     UnknownStateError,
     ZeroProbabilityEvidenceError,
 )
-from .inference import CompiledNetwork, Distribution, evidence_probability, posterior
+from .inference import CompiledNetwork, Distribution, evidence_probability, marginals
 from .model import NodeKind, NodeSpec, NodeState, TimeInterval, resolve_interval
 
 
@@ -189,8 +190,13 @@ class Session:
 
         Weights are posterior probabilities of each interval of the held
         event given the resolved evidence, sorted most likely first (ties
-        keep interval order).
+        keep interval order). A session never changes, so they are weighed
+        once per session.
         """
+        return list(self._scenarios)
+
+    @cached_property
+    def _scenarios(self) -> tuple[Scenario, ...]:
         if not self.pending:
             raise NoPendingObservationError(
                 "no pending observations; every observed node is resolved"
@@ -210,7 +216,7 @@ class Session:
             )
         out = [Scenario(a, e, w / total) for a, e, w in raw]
         out.sort(key=lambda s: -s.weight)
-        return out
+        return tuple(out)
 
     @property
     def scenario_set(self) -> list[tuple[dict[str, NodeState], float]]:
@@ -220,15 +226,9 @@ class Session:
             return [(self.resolved_evidence, 1.0)]
         return [(dict(s.evidence), s.weight) for s in self.scenarios()]
 
-    def _forecast(
-        self, node_id: str, scenario_set: list[tuple[dict[str, NodeState], float]]
-    ) -> Forecast:
-        """The scenario-weighted posterior of one node, with state windows."""
+    def _forecast(self, node_id: str, probs: np.ndarray) -> Forecast:
+        """A node's scenario-weighted posterior, with state windows."""
         states = self.net.states[node_id]
-        probs = np.zeros(len(states))
-        for evidence, weight in scenario_set:
-            if weight > 0.0:
-                probs = probs + weight * posterior(self.net, node_id, evidence).probs
         node = self.net.spec.node(node_id)
         anchor_tc = self.anchor.tc
         windows: list[Optional[tuple[float, float]]] = []
@@ -242,10 +242,14 @@ class Session:
 
     def _report(self, targets: list[str]) -> PredictionReport:
         assert self.anchor is not None
+        mixed = {nid: np.zeros(len(self.net.states[nid])) for nid in targets}
         # with nothing to forecast, the scenarios need not be weighed at all
-        scenario_set = self.scenario_set if targets else []
+        for evidence, weight in self.scenario_set if targets else []:
+            if weight > 0.0:
+                for nid, dist in marginals(self.net, targets, evidence).items():
+                    mixed[nid] = mixed[nid] + weight * dist.probs
         return PredictionReport(
-            self.anchor, {nid: self._forecast(nid, scenario_set) for nid in targets}
+            self.anchor, {nid: self._forecast(nid, mixed[nid]) for nid in targets}
         )
 
     def predict(self) -> PredictionReport:

@@ -194,7 +194,6 @@ def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[
     stamped at the end of the node's covered range (a claim that nothing
     happened is only checkable once the whole range has elapsed).
     """
-    ids = net.node_ids
     changes: list[tuple[float, int, ObservedEvent]] = []
     assertions: list[tuple[float, int, ObservedEvent]] = []
     for nid in revealed:
@@ -203,10 +202,10 @@ def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[
         if node.default_value is not None and entry.state.value == node.default_value:
             rng = node.temporal_range
             tc = rng.hi if rng is not None else 0.0
-            assertions.append((tc, ids.index(nid), ObservedEvent(nid, entry.state.value, tc)))
+            assertions.append((tc, net.index(nid), ObservedEvent(nid, entry.state.value, tc)))
         else:
             tc = entry.time if entry.time is not None else 0.0
-            changes.append((tc, ids.index(nid), ObservedEvent(nid, entry.state.value, tc)))
+            changes.append((tc, net.index(nid), ObservedEvent(nid, entry.state.value, tc)))
     changes.sort(key=lambda item: item[:2])
     assertions.sort(key=lambda item: item[:2])
     return [e for _, _, e in changes] + [e for _, _, e in assertions]

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import tnbn
+import tnbn.cli
+import tnbn.session
 from tnbn import accident_network, save_network
 
 
@@ -130,6 +132,23 @@ def test_session_with_pending_prints_scenarios(model_path, tmp_path):
     assert "interval unknown" in result.stdout
     assert "scenarios:" in result.stdout
     assert "VS=unstable@[0,10]" in result.stdout
+
+
+def test_session_weighs_the_scenarios_once(model_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    weigh = tnbn.session.evidence_probability
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return weigh(*args, **kwargs)
+
+    monkeypatch.setattr(tnbn.session, "evidence_probability", counted)
+    log = tmp_path / "intake.log"
+    log.write_text("115 VS unstable\n")
+    assert tnbn.cli.main(["session", model_path, str(log)]) == 0
+    # one weighing per candidate interval of VS, shared by printing and predict()
+    assert len(calls) == 3
+    assert "scenarios:" in capsys.readouterr().out
 
 
 def test_session_reports_inconsistencies(model_path, tmp_path):

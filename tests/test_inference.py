@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tnbn.inference
+
 from tnbn import (
     ConditionalTable,
+    FactorSizeError,
     InvalidNetworkError,
     JointSizeError,
     NetworkSpec,
@@ -16,6 +19,7 @@ from tnbn import (
     compile_network,
     evidence_probability,
     joint_enumerate,
+    marginals,
     posterior,
 )
 
@@ -221,3 +225,141 @@ def test_evidence_probability_matches_enumeration(seed):
     assert evidence_probability(net, evidence) == pytest.approx(
         joint_enumerate(spec, evidence).total(), abs=TOL
     )
+
+
+# --- pruning to the ancestral set --------------------------------------------
+
+def count_factor_ops(monkeypatch):
+    counts = {"sum_out": 0, "multiply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(tnbn.inference, "_sum_out", counted("sum_out", tnbn.inference._sum_out))
+    monkeypatch.setattr(tnbn.inference, "_multiply", counted("multiply", tnbn.inference._multiply))
+    return counts
+
+
+def ancestral_set(spec, nodes):
+    return set(nodes) | spec.ancestors(nodes)
+
+
+def test_queries_eliminate_only_their_ancestral_set(monkeypatch):
+    counts = count_factor_ops(monkeypatch)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        spec = random_network(rng, max_nodes=12)
+        net = compile_network(spec)
+        # N0 is always a root: its prior needs no elimination at all
+        counts["sum_out"] = 0
+        posterior(net, "N0")
+        assert counts["sum_out"] == 0
+        evidence = random_evidence(rng, spec, max_nodes=3)
+        for nid in net.node_ids:
+            if nid in evidence:
+                continue
+            counts["sum_out"] = 0
+            posterior(net, nid, evidence)
+            kept = ancestral_set(spec, {nid, *evidence})
+            assert counts["sum_out"] == len(kept) - 1 - len(evidence)
+        counts["sum_out"] = 0
+        evidence_probability(net, evidence)
+        assert counts["sum_out"] == len(ancestral_set(spec, evidence)) - len(evidence)
+
+
+def descendants(spec, node_id):
+    seen, frontier = set(), [node_id]
+    while frontier:
+        for c in spec.children(frontier.pop()):
+            if c not in seen:
+                seen.add(c)
+                frontier.append(c)
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_pruned_answers_match_enumeration_with_evidence_off_the_query_path(seed):
+    # evidence only below the query, or only on nodes that are neither its
+    # ancestors nor its descendants: the cases where pruning drops the most
+    rng = np.random.default_rng(seed)
+    spec = random_network(rng)
+    net = compile_network(spec)
+    for query in net.node_ids:
+        below = descendants(spec, query)
+        apart = set(net.node_ids) - below - ancestral_set(spec, {query})
+        for pool in (below, apart):
+            picked = sorted(pool)[: int(rng.integers(1, 3))]
+            evidence = {
+                nid: net.states[nid][int(rng.integers(len(net.states[nid])))]
+                for nid in picked
+            }
+            joint = joint_enumerate(spec, evidence)
+            got = posterior(net, query, evidence).probs
+            assert np.max(np.abs(got - joint.distribution(query).probs)) <= 1e-12
+            assert abs(evidence_probability(net, evidence) - joint.total()) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_marginals_match_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    spec = random_network(rng)
+    net = compile_network(spec)
+    evidence = random_evidence(rng, spec, max_nodes=3)
+    # any subset, evidence nodes included, in any order
+    targets = [nid for nid in reversed(net.node_ids) if rng.random() < 0.6]
+    got = marginals(net, iter(targets), evidence)
+    assert list(got) == targets
+    joint = joint_enumerate(spec, evidence)
+    for nid, dist in got.items():
+        assert dist.states == net.states[nid]
+        assert np.max(np.abs(dist.probs - joint.distribution(nid).probs)) <= 1e-12
+
+
+def test_marginals_eliminate_from_the_ancestral_set_of_all_targets(monkeypatch):
+    counts = count_factor_ops(monkeypatch)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        spec = random_network(rng, max_nodes=12)
+        net = compile_network(spec)
+        evidence = random_evidence(rng, spec, max_nodes=3)
+        targets = [nid for nid in net.node_ids if nid not in evidence and rng.random() < 0.5]
+        counts["sum_out"] = 0
+        marginals(net, targets, evidence)
+        kept = ancestral_set(spec, {*targets, *evidence})
+        assert counts["sum_out"] == len(targets) * (len(kept) - 1 - len(evidence))
+
+
+def test_marginals_errors_and_point_masses(accident_net):
+    assert marginals(accident_net, []) == {}
+    got = marginals(accident_net, ["C", "HI"], {"C": NodeState("moderate")})
+    assert list(got["C"].probs) == [0.0, 1.0, 0.0]
+    assert list(got["HI"].probs) == list(posterior(accident_net, "HI", {"C": NodeState("moderate")}).probs)
+    with pytest.raises(UnknownNodeError):
+        marginals(accident_net, ["C", "XX"])
+    bad = {"HI": NodeState("true"), "VS": NodeState("unstable", 1)}
+    with pytest.raises(ZeroProbabilityEvidenceError):
+        marginals(accident_net, ["C"], bad)
+
+
+def test_factor_size_guard_trips_before_any_product(accident_net, monkeypatch):
+    counts = count_factor_ops(monkeypatch)
+    # VS's ancestral set is C, HI, IB, VS; min-degree elimination takes C
+    # first, building a factor over C, HI and IB: 3 * 2 * 3 = 18 cells
+    monkeypatch.setattr(tnbn.inference, "FACTOR_SIZE_LIMIT", 17)
+    with pytest.raises(FactorSizeError) as info:
+        posterior(accident_net, "VS")
+    assert (info.value.node, info.value.width, info.value.cells) == ("C", 3, 18)
+    assert str(info.value) == (
+        "eliminating node 'C' would build a factor over 3 nodes with 18 cells (limit 17)"
+    )
+    assert counts == {"sum_out": 0, "multiply": 0}
+    # the root C's prior never touches its barren descendants, so it answers
+    assert posterior(accident_net, "C").p(NodeState("severe")) == pytest.approx(0.368, abs=TOL)
+    # the largest factor is the next step's, over HI, IB and VS: 2 * 3 * 4
+    monkeypatch.setattr(tnbn.inference, "FACTOR_SIZE_LIMIT", 24)
+    assert float(posterior(accident_net, "VS").probs.sum()) == pytest.approx(1.0, abs=TOL)

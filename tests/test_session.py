@@ -207,7 +207,7 @@ def test_at_most_the_anchor_is_ever_pending(seed):
 
 
 def test_pending_predict_weighs_the_scenarios_once(accident_net, monkeypatch):
-    counts = {"evidence_probability": 0, "posterior": 0, "scenarios": 0}
+    counts = {"evidence_probability": 0, "marginals": 0, "scenarios": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -215,16 +215,16 @@ def test_pending_predict_weighs_the_scenarios_once(accident_net, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("evidence_probability", "posterior"):
+    for name in ("evidence_probability", "marginals"):
         monkeypatch.setattr(tnbn.session, name, counted(name, getattr(tnbn.session, name)))
     monkeypatch.setattr(
         tnbn.session.Session, "scenarios", counted("scenarios", tnbn.session.Session.scenarios)
     )
     s = observe_all(open_session(accident_net), ("VS", "unstable", 115))
     report = s.predict()
-    # three candidate intervals of VS, four forecast nodes
+    # one marginals() call per candidate interval of VS, each for all four forecast nodes
     assert list(report.forecasts) == ["C", "HI", "IB", "PD"]
-    assert counts == {"evidence_probability": 3, "posterior": 12, "scenarios": 1}
+    assert counts == {"evidence_probability": 3, "marginals": 3, "scenarios": 1}
 
 
 # --- observation rules --------------------------------------------------------
