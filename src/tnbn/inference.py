@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -118,6 +119,22 @@ class CompiledNetwork:
     axes: Mapping[str, int]
     positions: Mapping[str, Mapping[NodeState, int]]
     factors: tuple[Factor, ...]
+
+    @cached_property
+    def cdfs(self) -> dict[str, dict[tuple[NodeState, ...], np.ndarray]]:
+        """Per node and parent-state row, the cumulative distribution over the
+        node's states, normalised as `Generator.choice` normalises it, so an
+        inverse-CDF draw on one uniform picks what `choice` would. Built on
+        first use: only sampling needs it."""
+        out: dict[str, dict[tuple[NodeState, ...], np.ndarray]] = {}
+        for nid in self.node_ids:
+            out[nid] = {}
+            for key, row in self.spec.tables[nid].rows.items():
+                probs = np.asarray(row, dtype=float)
+                cdf = (probs / probs.sum()).cumsum()
+                cdf /= cdf[-1]
+                out[nid][key] = cdf
+        return out
 
     def index(self, node_id: str) -> int:
         if node_id not in self.axes:

@@ -247,11 +247,25 @@ class NetworkSpec:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
+    @cached_property
+    def _edge_maps(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        """Parents and children of every node named by an edge, in edge order;
+        duplicate edges repeat, since validate reports them."""
+        parents: dict[str, list[str]] = {}
+        children: dict[str, list[str]] = {}
+        for p, c in self.edges:
+            parents.setdefault(c, []).append(p)
+            children.setdefault(p, []).append(c)
+        return (
+            {c: tuple(ps) for c, ps in parents.items()},
+            {p: tuple(cs) for p, cs in children.items()},
+        )
+
     def parents(self, node_id: str) -> tuple[str, ...]:
-        return tuple(p for p, c in self.edges if c == node_id)
+        return self._edge_maps[0].get(node_id, ())
 
     def children(self, node_id: str) -> tuple[str, ...]:
-        return tuple(c for p, c in self.edges if p == node_id)
+        return self._edge_maps[1].get(node_id, ())
 
     def ancestors(self, node_ids: Iterable[str]) -> set[str]:
         """All strict ancestors of the given nodes."""

@@ -2,14 +2,17 @@
 
 A trajectory is one complete ancestral sample of the network, each temporal
 change stamped with a concrete time drawn uniformly inside its interval. The
-harness replays part of a trajectory into a session as timed events, asks
-for forecasts, and scores them against the hidden remainder, so the session
-layer (anchoring noise included) is part of what gets measured.
+sampler draws each node's state by inverse CDF on one uniform, from the
+network's cumulative tables (built on first use). The harness replays part
+of a trajectory into a session as timed events, asks for forecasts, and
+scores them against the hidden remainder, so the session layer (anchoring
+noise included) is part of what gets measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -36,11 +39,12 @@ class Trajectory:
     entries: tuple[TrajectoryEntry, ...]
     seed: int
 
+    @cached_property
+    def _by_node(self) -> dict[str, TrajectoryEntry]:
+        return {e.node: e for e in self.entries}
+
     def entry(self, node_id: str) -> TrajectoryEntry:
-        for e in self.entries:
-            if e.node == node_id:
-                return e
-        raise KeyError(node_id)
+        return self._by_node[node_id]
 
     def state_of(self, node_id: str) -> NodeState:
         return self.entry(node_id).state
@@ -54,15 +58,14 @@ def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
     time at all.
     """
     rng = np.random.default_rng(seed)
+    cdfs = net.cdfs
     assigned: dict[str, NodeState] = {}
     times: dict[str, Optional[float]] = {}
     for nid in net.topo:
         node = net.spec.node(nid)
-        table = net.spec.tables[nid]
-        key = tuple(assigned[p] for p in table.parent_order)
-        probs = np.asarray(table.rows[key], dtype=float)
-        states = net.states[nid]
-        picked = states[int(rng.choice(len(states), p=probs / probs.sum()))]
+        key = tuple(assigned[p] for p in net.spec.tables[nid].parent_order)
+        cdf = cdfs[nid][key]
+        picked = net.states[nid][int(cdf.searchsorted(rng.random(), side="right"))]
         assigned[nid] = picked
         if node.kind is NodeKind.TEMPORAL:
             if picked.interval_index is None:
@@ -218,6 +221,8 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     as timed events, and scores the session's forecasts for every hidden
     node against the sampled truth. Per-trial scores are the mean over
     hidden nodes; the report aggregates over trials (population std).
+    Trials that end with the same resolved states and held reports share
+    one forecast.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -234,20 +239,25 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
         )
     accuracy: list[float] = []
     rbs: list[float] = []
+    # The resolved states and the held reports fix the evidence, the scenarios
+    # and the targets, hence every forecast: score each signature once.
+    scored: dict[tuple, dict[str, dict[NodeState, tuple[float, float]]]] = {}
     for t in range(trials):
         trajectory = sample_trajectory(net, trial_seed(seed, t))
         session = open_session(net)
         for event in reveal_events(net, trajectory, revealed):
             session = session.observe(event)
-        forecasts = session.predict().forecasts
-        acc_here = [
-            accuracy_score(forecasts[n].distribution, trajectory.state_of(n))
-            for n in hidden
-        ]
-        rbs_here = [
-            rbs_score(forecasts[n].distribution, trajectory.state_of(n))
-            for n in hidden
-        ]
-        accuracy.append(float(np.mean(acc_here)))
-        rbs.append(float(np.mean(rbs_here)))
+        key = (
+            frozenset(session.resolved_evidence.items()),
+            tuple((e.node, e.value) for e in session.pending),
+        )
+        if key not in scored:
+            forecasts = session.predict().forecasts
+            scored[key] = {}
+            for n in hidden:
+                d = forecasts[n].distribution
+                scored[key][n] = {s: (accuracy_score(d, s), rbs_score(d, s)) for s in d.states}
+        pairs = [scored[key][n][trajectory.state_of(n)] for n in hidden]
+        accuracy.append(float(np.mean([a for a, _ in pairs])))
+        rbs.append(float(np.mean([r for _, r in pairs])))
     return EvalReport(condition, trials, revealed, tuple(accuracy), tuple(rbs))

@@ -179,6 +179,19 @@ def test_network_lookup_helpers(accident_spec):
         accident_spec.node("nope")
 
 
+def test_parents_and_children_follow_edge_order_with_duplicates():
+    edges = (("Z", "B"), ("A", "B"), ("A", "B"), ("A", "Z"), ("B", "A"))
+    spec = _tiny_net(edges=edges)
+    for nid in ("A", "B", "Z", "nope"):
+        assert spec.parents(nid) == tuple(p for p, c in edges if c == nid)
+        assert spec.children(nid) == tuple(c for p, c in edges if p == nid)
+    assert spec.parents("B") == ("Z", "A", "A")
+    assert spec.children("nope") == ()
+    msgs = _messages(spec)
+    assert any("edge declared more than once" in m for m in msgs)
+    assert any("not a declared node" in m for m in msgs)
+
+
 def test_toposort_declaration_order_breaks_ties(accident_spec):
     assert toposort(accident_spec) == ("C", "HI", "IB", "PD", "VS")
 

@@ -5,6 +5,7 @@ from tnbn import (
     ConditionalTable,
     Distribution,
     EmptyTierError,
+    EvalReport,
     NetworkSpec,
     NodeKind,
     NodeSpec,
@@ -22,6 +23,7 @@ from tnbn import (
     sample_trajectory,
     trial_seed,
 )
+from tnbn.session import Session, open_session
 from tnbn.simulate import reveal_events
 
 from netgen import random_network
@@ -47,6 +49,63 @@ def test_trajectory_shape(accident_net):
         else:
             interval = node.intervals[entry.state.interval_index]
             assert interval.lo <= entry.time <= interval.hi
+
+
+def _reference_trajectory(net, seed):
+    """Ancestral sampling as it was written against `Generator.choice`."""
+    rng = np.random.default_rng(seed)
+    assigned, times = {}, {}
+    for nid in net.topo:
+        node = net.spec.node(nid)
+        table = net.spec.tables[nid]
+        probs = np.asarray(table.rows[tuple(assigned[p] for p in table.parent_order)], dtype=float)
+        states = net.states[nid]
+        picked = states[int(rng.choice(len(states), p=probs / probs.sum()))]
+        assigned[nid] = picked
+        if node.kind is NodeKind.INSTANTANEOUS:
+            times[nid] = 0.0
+        elif picked.interval_index is None:
+            times[nid] = None
+        else:
+            iv = node.intervals[picked.interval_index]
+            times[nid] = float(rng.uniform(iv.lo, iv.hi))
+    return [(nid, assigned[nid], times[nid]) for nid in net.node_ids]
+
+
+def _sampling_nets(accident_net):
+    rng = np.random.default_rng(31)
+    return [accident_net] + [
+        compile_network(random_network(rng, max_nodes=8)) for _ in range(4)
+    ]
+
+
+def test_sampler_draws_the_stream_choice_draws(accident_net):
+    for net in _sampling_nets(accident_net):
+        for t in range(500):
+            seed = trial_seed(19, t)
+            got = sample_trajectory(net, seed)
+            assert [(e.node, e.state, e.time) for e in got.entries] == _reference_trajectory(net, seed)
+
+
+def test_cumulative_tables_are_built_on_first_sample(accident_spec):
+    net = compile_network(accident_spec)
+    assert "cdfs" not in vars(net)
+    sample_trajectory(net, 0)
+    for nid in net.node_ids:
+        for cdf in net.cdfs[nid].values():
+            assert cdf[-1] == 1.0
+            assert np.all(np.diff(cdf) >= 0.0)
+
+
+def test_trajectory_lookup_by_node(accident_net):
+    t = sample_trajectory(accident_net, 4)
+    for e in t.entries:
+        assert t.entry(e.node) is e
+        assert t.state_of(e.node) == e.state
+    with pytest.raises(KeyError):
+        t.entry("nope")
+    with pytest.raises(KeyError):
+        t.state_of("nope")
 
 
 def test_sampled_times_cover_their_interval(accident_net):
@@ -253,3 +312,71 @@ def test_evaluate_runs_on_random_networks():
             report = evaluate(net, condition, trials=10, seed=3)
             assert all(0.0 <= x <= 100.0 for x in report.accuracy)
             assert all(0.0 <= x <= 100.0 for x in report.rbs)
+
+
+# --- one forecast per revealed signature -----------------------------------------
+
+def _replayed(net, revealed, seed, t):
+    trajectory = sample_trajectory(net, trial_seed(seed, t))
+    session = open_session(net)
+    for event in reveal_events(net, trajectory, revealed):
+        session = session.observe(event)
+    return trajectory, session
+
+
+def _signature(session):
+    resolved = frozenset((nid, r.state) for nid, r in session.resolved.items())
+    return resolved, tuple((e.node, e.value) for e in session.pending)
+
+
+def _reference_evaluate(net, condition, revealed, trials, seed):
+    """Every trial forecast and scored on its own, without sharing."""
+    hidden = [n for n in net.node_ids if n not in revealed]
+    accuracy, rbs = [], []
+    for t in range(trials):
+        trajectory, session = _replayed(net, revealed, seed, t)
+        forecasts = session.predict().forecasts
+        accuracy.append(float(np.mean([
+            accuracy_score(forecasts[n].distribution, trajectory.state_of(n)) for n in hidden
+        ])))
+        rbs.append(float(np.mean([
+            rbs_score(forecasts[n].distribution, trajectory.state_of(n)) for n in hidden
+        ])))
+    return EvalReport(f"{condition}-observed", trials, revealed, tuple(accuracy), tuple(rbs))
+
+
+def test_evaluate_predicts_once_per_revealed_signature(accident_net, monkeypatch):
+    calls = []
+    original = Session.predict
+
+    def counted(self):
+        calls.append(_signature(self))
+        return original(self)
+
+    monkeypatch.setattr(Session, "predict", counted)
+    report = evaluate(accident_net, "leaf-observed", trials=1000, seed=0)
+    monkeypatch.undo()
+    signatures = {
+        _signature(_replayed(accident_net, report.revealed, 0, t)[1]) for t in range(1000)
+    }
+    assert len(calls) == len(set(calls)) == len(signatures)
+    assert set(calls) == signatures
+    # leaf reports open with a temporal change, so some trials stay pending
+    assert any(pending for _, pending in signatures)
+
+
+def test_evaluate_equals_forecasting_every_trial(accident_net):
+    checked = 0
+    for net in _sampling_nets(accident_net):
+        tiers = node_tiers(net.spec)
+        for condition, tier in (
+            ("root", tiers.roots),
+            ("intermediate", tiers.intermediates),
+            ("leaf", tiers.leaves),
+        ):
+            if not tier or len(tier) == len(net.node_ids):
+                continue
+            want = _reference_evaluate(net, condition, tier, 120, seed=8)
+            assert evaluate(net, condition, trials=120, seed=8) == want
+            checked += 1
+    assert checked >= 6
