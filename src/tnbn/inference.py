@@ -12,6 +12,7 @@ between them is a meaningful test of both.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,14 +166,15 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
     factors = []
     for nid in ids:
         table = spec.tables[nid]
-        scope = tuple(sorted([index[p] for p in table.parent_order] + [index[nid]]))
-        arr = np.zeros(tuple(card[ids[i]] for i in scope))
-        for key, probs in table.rows.items():
-            at = {index[p]: pos[p][s] for p, s in zip(table.parent_order, key)}
-            for ci, p in enumerate(probs):
-                at[index[nid]] = ci
-                arr[tuple(at[i] for i in scope)] = p
-        factors.append(Factor(scope, arr))
+        # rows stacked in parent-state order give axes (*parent_order, child);
+        # validation guarantees exactly one row per parent-state tuple
+        axes = [index[p] for p in table.parent_order] + [index[nid]]
+        keys = itertools.product(*(states[p] for p in table.parent_order))
+        rows = [table.rows[key] for key in keys]
+        shape = [card[p] for p in table.parent_order] + [card[nid]]
+        block = np.array(rows, dtype=float).reshape(shape)
+        arr = np.ascontiguousarray(block.transpose(np.argsort(axes)))
+        factors.append(Factor(tuple(sorted(axes)), arr))
 
     order = toposort(spec)
     assert order is not None  # a cycle would have failed validation

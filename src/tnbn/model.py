@@ -14,7 +14,9 @@ to absolute times is the session module's job.
 
 from __future__ import annotations
 
+import heapq
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -28,6 +30,8 @@ ROW_SUM_TOLERANCE = 1e-9
 # "value@[lo,hi]" and "|"-joined parent tuples; evidence uses "node=state").
 _RESERVED_CHARS = set("|@=[],")
 _LABEL_BAD = re.compile(r"\s")
+# the "[lo,hi]" part of a timed state label
+_TIMED_BOUNDS = re.compile(r"\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]")
 
 
 class NodeKind(str, Enum):
@@ -135,16 +139,34 @@ class NodeSpec:
     def state_labels(self) -> list[str]:
         return [self.state_label(s) for s in state_enumeration(self)]
 
+    @cached_property
+    def _states(self) -> tuple[NodeState, ...]:
+        # a broken node raises here on every access, since nothing is cached
+        _check_node_usable(self)
+        states: list[NodeState] = []
+        if self.default_value is not None:
+            states.append(NodeState(self.default_value))
+        if self.kind is NodeKind.TEMPORAL:
+            for v in self.values:
+                states.extend(NodeState(v, i) for i in range(len(self.intervals)))
+        else:
+            states.extend(NodeState(v) for v in self.values)
+        return tuple(states)
+
+    @cached_property
+    def _state_set(self) -> frozenset[NodeState]:
+        return frozenset(self._states)
+
     def parse_state_label(self, text: str) -> NodeState:
         """Inverse of `state_label`; raises UnknownStateError otherwise."""
         text = text.strip()
         value, sep, rest = text.partition("@")
         if not sep:
             state = NodeState(value)
-            if state in state_enumeration(self):
+            if state in self._state_set:
                 return state
             raise UnknownStateError(self.id, text, self.state_labels())
-        m = re.fullmatch(r"\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]", rest)
+        m = _TIMED_BOUNDS.fullmatch(rest)
         if m:
             try:
                 lo, hi = float(m.group(1)), float(m.group(2))
@@ -153,7 +175,7 @@ class NodeSpec:
             for i, iv in enumerate(self.intervals):
                 if iv.lo == lo and iv.hi == hi:
                     state = NodeState(value, i)
-                    if state in state_enumeration(self):
+                    if state in self._state_set:
                         return state
         raise UnknownStateError(self.id, text, self.state_labels())
 
@@ -163,18 +185,10 @@ def state_enumeration(node: NodeSpec) -> tuple[NodeState, ...]:
 
     The default state comes first (when the node has one), then each value in
     declaration order; for temporal nodes each value is repeated once per
-    interval, in interval order.
+    interval, in interval order. Built and checked once per node; a node too
+    malformed to enumerate raises ValueError.
     """
-    _check_node_usable(node)
-    states: list[NodeState] = []
-    if node.default_value is not None:
-        states.append(NodeState(node.default_value))
-    if node.kind is NodeKind.TEMPORAL:
-        for v in node.values:
-            states.extend(NodeState(v, i) for i in range(len(node.intervals)))
-    else:
-        states.extend(NodeState(v) for v in node.values)
-    return tuple(states)
+    return node._states
 
 
 def resolve_interval(node: NodeSpec, elapsed: float) -> int:
@@ -453,31 +467,18 @@ def _table_violations(spec: NetworkSpec, node: NodeSpec) -> list[Violation]:
         out.append(
             Violation(subject, f"unexpected row for parent states {_key_text(spec, table, key)}")
         )
-    for key in sorted(seen & expected_keys, key=repr):
-        probs = table.rows[key]
-        if len(probs) != len(child_enum):
-            out.append(
-                Violation(
-                    subject,
-                    f"row {_key_text(spec, table, key)} has {len(probs)} entries, "
-                    f"expected {len(child_enum)}",
-                )
-            )
+    bad_rows: list[tuple[tuple[NodeState, ...], str]] = []
+    for key, probs in table.rows.items():
+        if key not in expected_keys:
             continue
-        if any(p < 0 or p > 1 for p in probs):
-            out.append(
-                Violation(
-                    subject,
-                    f"row {_key_text(spec, table, key)} has probabilities outside [0, 1]",
-                )
-            )
+        if len(probs) != len(child_enum):
+            bad_rows.append((key, f"has {len(probs)} entries, expected {len(child_enum)}"))
+        elif any(not 0 <= p <= 1 for p in probs):  # also catches NaN
+            bad_rows.append((key, "has probabilities outside [0, 1]"))
         elif abs(sum(probs) - 1.0) > ROW_SUM_TOLERANCE:
-            out.append(
-                Violation(
-                    subject,
-                    f"row {_key_text(spec, table, key)} sums to {sum(probs):.10g}, not 1",
-                )
-            )
+            bad_rows.append((key, f"sums to {sum(probs):.10g}, not 1"))
+    for key, problem in sorted(bad_rows, key=lambda kp: repr(kp[0])):
+        out.append(Violation(subject, f"row {_key_text(spec, table, key)} {problem}"))
     return out
 
 
@@ -504,23 +505,25 @@ def toposort(spec: NetworkSpec) -> Optional[tuple[str, ...]]:
     """Topological order of node ids (declaration order breaks ties), or
     None when the edge set has a cycle."""
     ids = spec.node_ids()
-    known = set(ids)
-    indeg = {i: 0 for i in ids}
+    rank: dict[str, int] = {}
+    for i, nid in enumerate(ids):
+        rank.setdefault(nid, i)  # a duplicated id ranks at its first occurrence
+    indeg = dict.fromkeys(rank, 0)
     for p, c in spec.edges:
-        if p in known and c in known:
+        if p in rank and c in rank:
             indeg[c] += 1
     order: list[str] = []
-    ready = [i for i in ids if indeg[i] == 0]
+    ready = [(rank[i], i) for i in ids if indeg[i] == 0]
+    heapq.heapify(ready)
     while ready:
-        current = ready.pop(0)
+        _, current = heapq.heappop(ready)
         order.append(current)
         for child in spec.children(current):
-            if child not in known:
+            if child not in rank:
                 continue
             indeg[child] -= 1
             if indeg[child] == 0:
-                ready.append(child)
-        ready.sort(key=ids.index)
+                heapq.heappush(ready, (rank[child], child))
     if len(order) != len(ids):
         return None
     return tuple(order)
@@ -534,7 +537,7 @@ def validate(spec: NetworkSpec) -> list[Violation]:
     """
     out: list[Violation] = []
     ids = [n.id for n in spec.nodes]
-    for dup in sorted({i for i in ids if ids.count(i) > 1}):
+    for dup in sorted(i for i, k in Counter(ids).items() if k > 1):
         out.append(Violation(f"node {dup}", "node id declared more than once"))
 
     for node in spec.nodes:
@@ -549,8 +552,7 @@ def validate(spec: NetworkSpec) -> list[Violation]:
                 out.append(Violation(subject, f"endpoint {end!r} is not a declared node"))
         if p == c:
             out.append(Violation(subject, "self-loops are not allowed"))
-    edge_list = list(spec.edges)
-    for dup in sorted({e for e in edge_list if edge_list.count(e) > 1}):
+    for dup in sorted(e for e, k in Counter(spec.edges).items() if k > 1):
         out.append(Violation(f"edge {dup[0]}->{dup[1]}", "edge declared more than once"))
 
     if toposort(spec) is None:

@@ -149,6 +149,8 @@ def network_from_dict(data: Any) -> NetworkSpec:
 
     _expect(isinstance(data["cpts"], dict), "cpts must be an object")
     tables: dict[str, ConditionalTable] = {}
+    # (parent id, label text) -> state, so each distinct label is parsed once
+    parsed: dict[tuple[str, str], NodeState] = {}
     for child, raw in data["cpts"].items():
         where = f"cpts[{child!r}]"
         _expect(isinstance(raw, dict), f"{where} must be an object")
@@ -162,7 +164,7 @@ def network_from_dict(data: Any) -> NetworkSpec:
         rows: dict[tuple[NodeState, ...], tuple[float, ...]] = {}
         for key_text, probs_raw in rows_raw.items():
             at = f"{where}.rows[{key_text!r}]"
-            key = _parse_row_key(by_id, parents, key_text, at)
+            key = _parse_row_key(by_id, parsed, parents, key_text, at)
             _expect(isinstance(probs_raw, list), f"{at} must be a list of probabilities")
             rows[key] = tuple(
                 _number(p, f"{at}[{j}]") for j, p in enumerate(probs_raw)
@@ -174,6 +176,7 @@ def network_from_dict(data: Any) -> NetworkSpec:
 
 def _parse_row_key(
     by_id: dict[str, NodeSpec],
+    parsed: dict[tuple[str, str], NodeState],
     parents: tuple[str, ...],
     key_text: Any,
     where: str,
@@ -187,12 +190,15 @@ def _parse_row_key(
     )
     key = []
     for pid, part in zip(parents, parts):
-        node = by_id.get(pid)
-        _expect(node is not None, f"{where}: parent {pid!r} is not a declared node")
-        try:
-            key.append(node.parse_state_label(part))
-        except (TNBNError, ValueError) as err:
-            raise ModelFormatError(f"{where}: cannot interpret {part!r}: {err}") from None
+        state = parsed.get((pid, part))
+        if state is None:
+            node = by_id.get(pid)
+            _expect(node is not None, f"{where}: parent {pid!r} is not a declared node")
+            try:
+                state = parsed[pid, part] = node.parse_state_label(part)
+            except (TNBNError, ValueError) as err:
+                raise ModelFormatError(f"{where}: cannot interpret {part!r}: {err}") from None
+        key.append(state)
     return tuple(key)
 
 

@@ -49,6 +49,20 @@ def test_validate_reports_problems(tmp_path, model_path):
     assert "1 problem(s)" in result.stdout
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_validate_reports_non_finite_probabilities(tmp_path, model_path, bad):
+    # json reads NaN and Infinity as floats, so only validation can catch them
+    data = json.loads(open(model_path).read())
+    data["cpts"]["C"]["rows"][""][0] = float(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert bad in path.read_text()
+    result = run_cli("validate", str(path))
+    assert result.returncode == 1
+    assert "cpt C: row () has probabilities outside [0, 1]" in result.stdout
+    assert "1 problem(s)" in result.stdout
+
+
 def test_infer_prior(model_path):
     result = run_cli("infer", model_path, "-q", "HI")
     assert result.returncode == 0

@@ -13,6 +13,7 @@ from tnbn import (
     NodeKind,
     NodeSpec,
     NodeState,
+    TimeInterval,
     UnknownNodeError,
     UnknownStateError,
     ZeroProbabilityEvidenceError,
@@ -139,6 +140,73 @@ def test_compile_rejects_invalid_networks():
         compile_network(spec)
     assert info.value.violations
     assert "sums to" in str(info.value)
+
+
+def _cell_by_cell_factors(net):
+    """Reference factors: every CPT entry written into its own cell."""
+    out = []
+    for nid in net.node_ids:
+        table = net.spec.tables[nid]
+        scope = tuple(sorted([net.axes[p] for p in table.parent_order] + [net.axes[nid]]))
+        arr = np.zeros(tuple(len(net.states[net.node_ids[i]]) for i in scope))
+        for key, probs in table.rows.items():
+            at = {net.axes[p]: net.positions[p][s] for p, s in zip(table.parent_order, key)}
+            for ci, prob in enumerate(probs):
+                at[net.axes[nid]] = ci
+                arr[tuple(at[i] for i in scope)] = prob
+        out.append((scope, arr))
+    return out
+
+
+def _with_reversed_parent_order(spec):
+    tables = {
+        nid: ConditionalTable(
+            t.child, t.parent_order[::-1], {key[::-1]: row for key, row in t.rows.items()}
+        )
+        for nid, t in spec.tables.items()
+    }
+    return NetworkSpec(spec.name, spec.time_unit, spec.nodes, spec.edges, tables)
+
+
+def _parents_listed_out_of_declaration_order():
+    a = NodeSpec("A", NodeKind.INSTANTANEOUS, ("y", "n"))
+    intervals = (TimeInterval(0, 2), TimeInterval(2, 5))
+    b = NodeSpec("B", NodeKind.TEMPORAL, ("hot",), "cold", intervals)
+    c = NodeSpec("C", NodeKind.INSTANTANEOUS, ("on", "off"))
+    y, n, cold = NodeState("y"), NodeState("n"), NodeState("cold")
+    hot0, hot1 = NodeState("hot", 0), NodeState("hot", 1)
+    rows = {
+        (cold, y): (0.1, 0.9), (cold, n): (0.2, 0.8),
+        (hot0, y): (0.3, 0.7), (hot0, n): (0.4, 0.6),
+        (hot1, y): (0.5, 0.5), (hot1, n): (0.6, 0.4),
+    }
+    return NetworkSpec(
+        "transposed",
+        "hour",
+        (a, b, c),
+        (("A", "B"), ("A", "C"), ("B", "C")),
+        {
+            "A": ConditionalTable("A", (), {(): (0.25, 0.75)}),
+            "B": ConditionalTable("B", ("A",), {(y,): (0.5, 0.3, 0.2), (n,): (0.7, 0.2, 0.1)}),
+            "C": ConditionalTable("C", ("B", "A"), rows),
+        },
+    )
+
+
+def test_factors_equal_a_cell_by_cell_fill(accident_spec):
+    specs = [accident_spec, _with_reversed_parent_order(accident_spec)]
+    specs.append(_parents_listed_out_of_declaration_order())
+    for seed in range(12):
+        spec = random_network(np.random.default_rng(seed), max_nodes=10)
+        specs += [spec, _with_reversed_parent_order(spec)]
+    for spec in specs:
+        net = compile_network(spec)
+        for factor, (scope, ref) in zip(net.factors, _cell_by_cell_factors(net), strict=True):
+            assert factor.scope == scope
+            assert factor.values.shape == ref.shape
+            assert factor.values.dtype == ref.dtype
+            assert factor.values.flags.c_contiguous
+            assert factor.values.tobytes() == ref.tobytes()
 
 
 # --- the enumeration oracle -------------------------------------------------

@@ -196,6 +196,44 @@ def test_toposort_declaration_order_breaks_ties(accident_spec):
     assert toposort(accident_spec) == ("C", "HI", "IB", "PD", "VS")
 
 
+def _toposort_by_list_index(spec):
+    """Reference order: ready nodes re-sorted by `ids.index` after every step."""
+    ids = spec.node_ids()
+    known = set(ids)
+    indeg = {i: 0 for i in ids}
+    for p, c in spec.edges:
+        if p in known and c in known:
+            indeg[c] += 1
+    order = []
+    ready = [i for i in ids if indeg[i] == 0]
+    while ready:
+        current = ready.pop(0)
+        order.append(current)
+        for child in spec.children(current):
+            if child in known:
+                indeg[child] -= 1
+                if indeg[child] == 0:
+                    ready.append(child)
+        ready.sort(key=ids.index)
+    return tuple(order) if len(order) == len(ids) else None
+
+
+def test_toposort_ranks_a_duplicated_id_at_its_first_occurrence():
+    x, b, c = (NodeSpec(i, NodeKind.INSTANTANEOUS, ("y", "n")) for i in "XBC")
+    spec = NetworkSpec("dup", "hour", (x, b, c, b), (("X", "C"),), {})
+    # B (first declared at 1) goes before C (at 2), though B is also declared at 3
+    assert toposort(spec) == ("X", "B", "B", "C") == _toposort_by_list_index(spec)
+
+
+def test_toposort_matches_list_index_tie_breaks_on_shuffled_declarations():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        spec = random_network(rng, max_nodes=12)
+        nodes = tuple(spec.nodes[i] for i in rng.permutation(len(spec.nodes)))
+        shuffled = NetworkSpec(spec.name, spec.time_unit, nodes, spec.edges, spec.tables)
+        assert toposort(shuffled) == _toposort_by_list_index(shuffled) is not None
+
+
 # --- validation -----------------------------------------------------------
 
 def test_fixture_network_validates_clean(accident_spec):
@@ -399,6 +437,62 @@ def test_validate_rows():
     negative[(NodeState("y"),)] = (-0.2, 0.9, 0.3)
     tables["B"] = ConditionalTable("B", ("A",), negative)
     assert any("outside [0, 1]" in m for m in _messages(_tiny_net(tables=tables)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_validate_rejects_non_finite_probabilities(bad):
+    base = _tiny_net()
+    rows = dict(base.tables["B"].rows)
+    rows[(NodeState("y"),)] = (bad, 0.5, 0.3)
+    tables = dict(base.tables)
+    tables["B"] = ConditionalTable("B", ("A",), rows)
+    assert _messages(_tiny_net(tables=tables)) == [
+        "cpt B: row (A=y) has probabilities outside [0, 1]"
+    ]
+
+
+def test_validate_report_is_complete_and_ordered():
+    # one network with many faults: every message, in order, pins the report
+    a = NodeSpec("A", NodeKind.INSTANTANEOUS, ("y", "n"))
+    b = NodeSpec("B", NodeKind.INSTANTANEOUS, ("p", "q", "r"))
+    c = NodeSpec("C", NodeKind.TEMPORAL, ("hot",), "cold", (iv(0, 2), iv(2, 5)))
+    y, n, p, q, r = (NodeState(v) for v in "ynpqr")
+    spec = NetworkSpec(
+        "faulty",
+        "hour",
+        (b, a, c, a, b),
+        (("B", "C"), ("A", "C"), ("B", "C"), ("A", "C"), ("B", "Z")),
+        {
+            "A": ConditionalTable("A", (), {(): (0.3, 0.7)}),
+            "B": ConditionalTable("B", (), {(): (0.2, 0.3, 0.5)}),
+            "C": ConditionalTable(
+                "C",
+                ("A", "B"),
+                {
+                    (y, p): (0.5, 0.5, 0.5),
+                    (y, q): (0.5, 0.5),
+                    (n, p): (-0.1, 0.6, 0.5),
+                    (y, r): (0.2, 0.3, 0.5),
+                    (NodeState("maybe"), p): (0.2, 0.3, 0.5),
+                },
+            ),
+            "W": ConditionalTable("W", (), {(): (1.0,)}),
+        },
+    )
+    assert _messages(spec) == [
+        "node A: node id declared more than once",
+        "node B: node id declared more than once",
+        "edge B->Z: endpoint 'Z' is not a declared node",
+        "edge A->C: edge declared more than once",
+        "edge B->C: edge declared more than once",
+        "cpt W: table for an undeclared node",
+        "cpt C: missing row for parent states (A=n, B=q)",
+        "cpt C: missing row for parent states (A=n, B=r)",
+        "cpt C: unexpected row for parent states (A=maybe, B=p)",
+        "cpt C: row (A=n, B=p) has probabilities outside [0, 1]",
+        "cpt C: row (A=y, B=p) sums to 1.5, not 1",
+        "cpt C: row (A=y, B=q) has 2 entries, expected 3",
+    ]
 
 
 def test_validate_row_sum_tolerance():

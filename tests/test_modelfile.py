@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+
+import tnbn.model
 
 from tnbn import (
     ConditionalTable,
@@ -12,6 +15,7 @@ from tnbn import (
     NodeState,
     ObservedEvent,
     TimeInterval,
+    compile_network,
     load_event_log,
     load_network,
     network_from_dict,
@@ -47,6 +51,43 @@ def test_random_network_round_trip(tmp_path):
     path = tmp_path / "net.json"
     save_network(spec, path)
     assert load_network(path) == spec
+
+
+def test_load_and_compile_check_each_node_once_and_parse_each_label_once(
+    tmp_path, monkeypatch
+):
+    spec = random_network(np.random.default_rng(5), max_nodes=30, edge_share=0.6)
+    path = tmp_path / "net.json"
+    save_network(spec, path)
+    labels = Counter()
+    for cpt in json.loads(path.read_text())["cpts"].values():
+        for key_text in cpt["rows"]:
+            if key_text:
+                labels.update(zip(cpt["parents"], key_text.split("|")))
+    assert len(spec.nodes) >= 20 and max(labels.values()) > 10
+
+    checks = Counter()
+    node_violations = tnbn.model._node_violations
+
+    def counted_violations(node):
+        checks[node.id] += 1
+        return node_violations(node)
+
+    parses = Counter()
+    parse_state_label = NodeSpec.parse_state_label
+
+    def counted_parse(node, text):
+        parses[node.id, text] += 1
+        return parse_state_label(node, text)
+
+    monkeypatch.setattr(tnbn.model, "_node_violations", counted_violations)
+    monkeypatch.setattr(NodeSpec, "parse_state_label", counted_parse)
+    net = compile_network(load_network(path))
+
+    assert net.spec == spec
+    # once by validate, once when the node's states are first enumerated
+    assert checks == Counter({n.id: 2 for n in spec.nodes})
+    assert parses == Counter(set(labels))
 
 
 def test_fractional_interval_bounds_round_trip():
