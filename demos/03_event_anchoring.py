@@ -44,8 +44,8 @@ for sc in s.scenarios():
     label = net.spec.node("VS").state_label(sc.assignment["VS"])
     print(f"  weight {sc.weight:.4f}: {label}")
 
-# Forecasts mix over the scenarios, which equals conditioning on the value
-# alone and letting the interval stay uncertain.
+# Forecasts condition on the value alone (VS is in one of its unstable
+# intervals) and let the interval stay uncertain.
 print("\nP(HI) with the interval still unknown:")
 for state, p in s.predict().forecasts["HI"].distribution.items():
     print(f"  {state.value}: {p:.4f}")

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -40,7 +40,9 @@ JOINT_SIZE_LIMIT = 10_000_000
 # elimination refuses to build intermediate factors above this many cells
 FACTOR_SIZE_LIMIT = 10_000_000
 
-Evidence = Mapping[str, NodeState]
+Evidence = Mapping[str, Union[NodeState, Collection[NodeState]]]
+# per evidence node, its state position, or a tuple of positions for a set
+_Positions = Mapping[str, Union[int, tuple[int, ...]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,19 +183,33 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
     return CompiledNetwork(spec, order, ids, states, index, pos, tuple(factors))
 
 
-def _evidence_positions(net: CompiledNetwork, evidence: Optional[Evidence]) -> dict[str, int]:
-    return {nid: net.state_index(nid, st) for nid, st in dict(evidence or {}).items()}
+def _evidence_positions(net: CompiledNetwork, evidence: Optional[Evidence]) -> _Positions:
+    out = {}
+    for nid, ev in dict(evidence or {}).items():
+        many = isinstance(ev, Collection) and not isinstance(ev, str)
+        if not (isinstance(ev, NodeState) or many and all(isinstance(s, NodeState) for s in ev)):
+            raise TypeError(
+                f"evidence on node {nid!r} must be a NodeState or a collection of them, got {ev!r}"
+            )
+        net.index(nid)  # raises UnknownNodeError, even for an empty collection
+        out[nid] = tuple(net.state_index(nid, s) for s in ev) if many else net.state_index(nid, ev)
+    return out
 
 
 def _reduced_factors(
-    net: CompiledNetwork, ev_pos: Mapping[str, int], queries: Iterable[int] = ()
+    net: CompiledNetwork, ev_pos: _Positions, queries: Iterable[int] = ()
 ) -> list[Factor]:
     """The CPT factors of the queries, the evidence and their ancestors, each
-    reduced by the evidence. Every other node is barren: its factors sum to
+    reduced by the single-state evidence, plus one 0/1 mask factor per node
+    with set-valued evidence. Every other node is barren: its factors sum to
     one, so dropping them leaves the answer unchanged."""
-    ev_axes = [(net.axes[nid], p) for nid, p in ev_pos.items()]
+    ev_axes = [(net.axes[nid], p) for nid, p in ev_pos.items() if isinstance(p, int)]
+    masks = [
+        Factor((net.axes[nid],), np.isin(np.arange(len(net.states[nid])), p).astype(float))
+        for nid, p in ev_pos.items() if not isinstance(p, int)
+    ]
     # factor i is node i's CPT, so its scope is node i plus its parents
-    relevant = {i for i, _ in ev_axes} | set(queries)
+    relevant = {net.axes[nid] for nid in ev_pos} | set(queries)
     frontier = list(relevant)
     while frontier:
         for i in net.factors[frontier.pop()].scope:
@@ -207,7 +223,7 @@ def _reduced_factors(
             if j in f.scope:
                 f = _reduce(f, j, p)
         out.append(f)
-    return out
+    return out + masks
 
 
 def _eliminate(net: CompiledNetwork, factors: list[Factor], keep: set[int]) -> list[Factor]:
@@ -245,11 +261,11 @@ def _eliminate(net: CompiledNetwork, factors: list[Factor], keep: set[int]) -> l
 
 
 def _posterior_from(
-    net: CompiledNetwork, factors: list[Factor], query: str, ev_pos: Mapping[str, int]
+    net: CompiledNetwork, factors: list[Factor], query: str, ev_pos: _Positions
 ) -> Distribution:
     """P(query | evidence) from CPT factors already reduced by the evidence."""
     qstates = net.states[query]
-    if query in ev_pos:
+    if isinstance(ev_pos.get(query), int):
         probs = np.zeros(len(qstates))
         probs[ev_pos[query]] = 1.0
         return Distribution(query, qstates, probs)
@@ -269,8 +285,9 @@ def posterior(net: CompiledNetwork, query: str, evidence: Optional[Evidence] = N
     """P(query | evidence) by variable elimination.
 
     Only the factors of the query, the evidence and their ancestors enter
-    the elimination.
-    Evidence on the query node itself yields the matching point mass.
+    the elimination. An evidence value is a NodeState, or a collection of
+    them meaning "one of these" (anything else raises TypeError).
+    Single-state evidence on the query node yields the matching point mass.
     Evidence whose probability is zero raises ZeroProbabilityEvidenceError.
     """
     qidx = net.index(query)  # raises UnknownNodeError for unknown ids
@@ -285,8 +302,8 @@ def marginals(
 
     The factors of the targets, the evidence and their ancestors are reduced
     once, and every target is eliminated from that one shared set. A target
-    with evidence on it yields the matching point mass. Evidence whose
-    probability is zero raises ZeroProbabilityEvidenceError.
+    with single-state evidence on it yields the matching point mass. Evidence
+    whose probability is zero raises ZeroProbabilityEvidenceError.
     """
     targets = list(targets)
     axes = [net.index(t) for t in targets]  # raises UnknownNodeError for unknown ids
@@ -297,7 +314,7 @@ def marginals(
 
 def evidence_probability(net: CompiledNetwork, evidence: Optional[Evidence] = None) -> float:
     """P(evidence): the normalizing constant after reducing the factors of
-    the evidence and its ancestors."""
+    the evidence and its ancestors (0.0 for an empty collection of states)."""
     ev_pos = _evidence_positions(net, evidence)
     remaining = _eliminate(net, _reduced_factors(net, ev_pos), keep=set())
     total = 1.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from .errors import ModelFormatError, TNBNError
 from .model import (
@@ -77,15 +77,15 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def _string(value: Any, what: str) -> str:
-    _expect(isinstance(value, str), f"{what} must be a string, got {value!r}")
+    if not isinstance(value, str):
+        raise ModelFormatError(f"{what} must be a string, got {value!r}")
     return value
 
 
-def _number(value: Any, what: str) -> float:
-    _expect(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{what} must be a number, got {value!r}",
-    )
+def _number(value: Any, what: str, index: Optional[int] = None) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        where = what if index is None else f"{what}[{index}]"
+        raise ModelFormatError(f"{where} must be a number, got {value!r}")
     return float(value)
 
 
@@ -166,9 +166,7 @@ def network_from_dict(data: Any) -> NetworkSpec:
             at = f"{where}.rows[{key_text!r}]"
             key = _parse_row_key(by_id, parsed, parents, key_text, at)
             _expect(isinstance(probs_raw, list), f"{at} must be a list of probabilities")
-            rows[key] = tuple(
-                _number(p, f"{at}[{j}]") for j, p in enumerate(probs_raw)
-            )
+            rows[key] = tuple(_number(p, at, j) for j, p in enumerate(probs_raw))
         tables[child] = ConditionalTable(child, parents, rows)
 
     return NetworkSpec(name, time_unit, tuple(nodes), tuple(edges), tables)

@@ -6,8 +6,8 @@ session bridges the two. The first reported event anchors the session; each
 later temporal event is resolved into an interval by the elapsed time
 between its timestamp and the anchor's. A temporal event that arrives first
 cannot be resolved yet (there is nothing to measure elapsed time against),
-so it is held pending and expanded into weighted scenarios, one per
-candidate interval, until the next non-default event settles it. Only the
+so it is held pending until the next non-default event settles it; until
+then its node is evidence restricted to the intervals of its value. Only the
 first event can be held this way, so at most one event is ever pending.
 
 Sessions are immutable; `observe` returns the extended session.
@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Mapping, Optional
-
-import numpy as np
 
 from .errors import (
     DuplicateObservationError,
@@ -28,10 +25,9 @@ from .errors import (
     RangeOverflowError,
     UnanchoredSessionError,
     UnknownStateError,
-    ZeroProbabilityEvidenceError,
 )
-from .inference import CompiledNetwork, Distribution, evidence_probability, marginals
-from .model import NodeKind, NodeSpec, NodeState, TimeInterval, resolve_interval
+from .inference import CompiledNetwork, Distribution, Evidence, marginals
+from .model import NodeKind, NodeSpec, NodeState, TimeInterval, format_time, resolve_interval
 
 
 @dataclass(frozen=True)
@@ -69,13 +65,12 @@ class Scenario:
     """One way of resolving the pending observation, with its weight."""
 
     assignment: Mapping[str, NodeState]
-    evidence: Mapping[str, NodeState]
     weight: float
 
 
 @dataclass(frozen=True)
 class Forecast:
-    """A node's mixed posterior plus the absolute window of each state."""
+    """A node's posterior given the session's evidence, with state windows."""
 
     distribution: Distribution
     windows: tuple[Optional[tuple[float, float]], ...]
@@ -117,13 +112,23 @@ class Session:
     def resolved_evidence(self) -> dict[str, NodeState]:
         return {nid: r.state for nid, r in self.resolved.items()}
 
+    @property
+    def _evidence(self) -> Evidence:
+        """The resolved evidence, plus the held node restricted to the
+        intervals of its reported value."""
+        evidence: dict = self.resolved_evidence
+        for held in self.pending:
+            evidence[held.node] = [s for s in self.net.states[held.node] if s.value == held.value]
+        return evidence
+
     def observe(self, event: ObservedEvent) -> "Session":
         """Fold one event in and return the extended session.
 
-        An event whose elapsed time falls outside its node's covered range is
-        recorded as inconsistent (its evidence is dropped) rather than
-        raised, since later events may still be fine. A non-finite timestamp
-        raises ValueError.
+        An event whose elapsed time falls outside its node's covered range,
+        or a temporal change timed before the anchor (unless it settles the
+        held first event), is recorded as inconsistent (its evidence is
+        dropped) rather than raised, since later events may still be fine.
+        A non-finite timestamp raises ValueError.
         """
         if not math.isfinite(event.tc):
             raise ValueError(f"event time of {event.node!r} must be finite, got {event.tc}")
@@ -150,6 +155,12 @@ class Session:
         else:
             if node.kind is NodeKind.INSTANTANEOUS:
                 resolved[node.id] = ResolvedObservation(NodeState(event.value), event.tc)
+            elif not pending and event.tc < anchor.tc:
+                # intervals run forward from the anchor; only the held first
+                # event is measured backward, from the event that settles it
+                reason = f"reported at {format_time(event.tc)}, before the anchor"
+                reason += f" {anchor.node}={anchor.value} at {format_time(anchor.tc)}"
+                inconsistent.append((event, reason))
             else:
                 self._resolve_timed(resolved, inconsistent, node, event, self.anchor.tc)
             if pending:
@@ -188,68 +199,38 @@ class Session:
     def scenarios(self) -> list[Scenario]:
         """Weighted candidate resolutions of the pending observation.
 
-        Weights are posterior probabilities of each interval of the held
-        event given the resolved evidence, sorted most likely first (ties
-        keep interval order). A session never changes, so they are weighed
-        once per session.
+        Weights are the posterior probabilities of the intervals of the held
+        event's value, P(H | e) given the resolved evidence and the report,
+        sorted most likely first (ties keep interval order).
         """
-        return list(self._scenarios)
-
-    @cached_property
-    def _scenarios(self) -> tuple[Scenario, ...]:
         if not self.pending:
             raise NoPendingObservationError(
                 "no pending observations; every observed node is resolved"
             )
         (held,) = self.pending
-        base = self.resolved_evidence
-        raw: list[tuple[dict[str, NodeState], dict[str, NodeState], float]] = []
-        for i in range(len(self.net.spec.node(held.node).intervals)):
-            assignment = {held.node: NodeState(held.value, i)}
-            evidence = {**base, **assignment}
-            raw.append((assignment, evidence, evidence_probability(self.net, evidence)))
-        total = sum(w for _, _, w in raw)
-        if not total > 0.0:
-            raise ZeroProbabilityEvidenceError(
-                "every candidate resolution of the pending observation has "
-                "probability zero given the resolved evidence"
-            )
-        out = [Scenario(a, e, w / total) for a, e, w in raw]
+        dist = marginals(self.net, [held.node], self._evidence)[held.node]
+        out = [Scenario({held.node: s}, w) for s, w in dist.items() if s.value == held.value]
         out.sort(key=lambda s: -s.weight)
-        return tuple(out)
+        return out
 
-    @property
-    def scenario_set(self) -> list[tuple[dict[str, NodeState], float]]:
-        """(evidence, weight) pairs; collapses to the resolved evidence alone
-        when nothing is pending."""
-        if not self.pending:
-            return [(self.resolved_evidence, 1.0)]
-        return [(dict(s.evidence), s.weight) for s in self.scenarios()]
-
-    def _forecast(self, node_id: str, probs: np.ndarray) -> Forecast:
-        """A node's scenario-weighted posterior, with state windows."""
-        states = self.net.states[node_id]
-        node = self.net.spec.node(node_id)
+    def _forecast(self, dist: Distribution) -> Forecast:
+        """A node's posterior, with state windows."""
+        node = self.net.spec.node(dist.node)
         anchor_tc = self.anchor.tc
         windows: list[Optional[tuple[float, float]]] = []
-        for state in states:
+        for state in dist.states:
             if state.interval_index is None:
                 windows.append(None)
             else:
                 iv = node.intervals[state.interval_index]
                 windows.append((anchor_tc + iv.lo, anchor_tc + iv.hi))
-        return Forecast(Distribution(node_id, states, probs), tuple(windows))
+        return Forecast(dist, tuple(windows))
 
     def _report(self, targets: list[str]) -> PredictionReport:
         assert self.anchor is not None
-        mixed = {nid: np.zeros(len(self.net.states[nid])) for nid in targets}
-        # with nothing to forecast, the scenarios need not be weighed at all
-        for evidence, weight in self.scenario_set if targets else []:
-            if weight > 0.0:
-                for nid, dist in marginals(self.net, targets, evidence).items():
-                    mixed[nid] = mixed[nid] + weight * dist.probs
+        dists = marginals(self.net, targets, self._evidence)
         return PredictionReport(
-            self.anchor, {nid: self._forecast(nid, mixed[nid]) for nid in targets}
+            self.anchor, {nid: self._forecast(dist) for nid, dist in dists.items()}
         )
 
     def predict(self) -> PredictionReport:

@@ -150,19 +150,68 @@ def test_session_with_pending_prints_scenarios(model_path, tmp_path):
 
 def test_session_weighs_the_scenarios_once(model_path, tmp_path, monkeypatch, capsys):
     calls = []
-    weigh = tnbn.session.evidence_probability
+    query = tnbn.session.marginals
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return weigh(*args, **kwargs)
+        return query(*args, **kwargs)
 
-    monkeypatch.setattr(tnbn.session, "evidence_probability", counted)
+    monkeypatch.setattr(tnbn.session, "marginals", counted)
     log = tmp_path / "intake.log"
     log.write_text("115 VS unstable\n")
     assert tnbn.cli.main(["session", model_path, str(log)]) == 0
-    # one weighing per candidate interval of VS, shared by printing and predict()
-    assert len(calls) == 3
+    # one query on VS for the printed scenarios, one for all the forecasts
+    assert [list(targets) for _, targets, _ in calls] == [["VS"], ["C", "HI", "IB", "PD"]]
     assert "scenarios:" in capsys.readouterr().out
+
+
+PENDING_SESSION_HEAD = """\
+anchor: VS=unstable at 115
+resolved:
+  (none)
+pending:
+  VS = unstable at 115, interval unknown
+scenarios:
+  0.5841  VS=unstable@[0,10]
+  0.2093  VS=unstable@[10,30]
+  0.2065  VS=unstable@[30,60]
+"""
+
+PENDING_SESSION_CAUSES = """\
+  P(C)
+    severe    0.4141
+    moderate  0.3947
+    mild      0.1913
+  P(HI)
+    true   0.5816
+    false  0.4184
+  P(IB)
+    gross   0.5121
+    slight  0.3976
+    none    0.0903
+"""
+
+PENDING_SESSION_PD = """\
+  P(PD)
+    normal         0.4266
+    dilated@[0,3]  0.5630  window [115,118]
+    dilated@[3,5]  0.0105  window [118,120]
+"""
+
+
+@pytest.mark.parametrize("diagnose", [False, True])
+def test_pending_session_output_is_pinned(model_path, tmp_path, capsys, diagnose):
+    log = tmp_path / "intake.log"
+    log.write_text("115 VS unstable\n")
+    argv = ["session", model_path, str(log)] + (["--diagnose"] if diagnose else [])
+    assert tnbn.cli.main(argv) == 0
+    if diagnose:
+        expected = PENDING_SESSION_HEAD + "diagnosis:\n" + PENDING_SESSION_CAUSES
+    else:
+        expected = (
+            PENDING_SESSION_HEAD + "forecasts:\n" + PENDING_SESSION_CAUSES + PENDING_SESSION_PD
+        )
+    assert capsys.readouterr().out == expected
 
 
 def test_session_reports_inconsistencies(model_path, tmp_path):

@@ -86,6 +86,44 @@ def test_unknown_query_nodes_and_states(accident_net):
     assert "unstable@[0,10]" in str(info.value)
 
 
+def test_set_valued_evidence_restricts_a_node_to_some_of_its_states(accident_net):
+    # C in {severe, mild} renormalises the prior 0.368 / 0.392 / 0.24 over those two
+    d = posterior(accident_net, "C", {"C": {NodeState("severe"), NodeState("mild")}})
+    assert list(d.probs) == pytest.approx([0.368 / 0.608, 0.0, 0.24 / 0.608], abs=TOL)
+    assert evidence_probability(accident_net, {"C": [NodeState("severe"), NodeState("mild")]}) == (
+        pytest.approx(0.608, abs=TOL)
+    )
+    # every state of a node is no evidence at all
+    every = {"VS": accident_net.states["VS"]}
+    assert list(posterior(accident_net, "HI", every).probs) == pytest.approx(
+        list(posterior(accident_net, "HI").probs), abs=TOL
+    )
+    # an empty collection is evidence of probability zero
+    assert evidence_probability(accident_net, {"C": ()}) == 0.0
+    with pytest.raises(ZeroProbabilityEvidenceError):
+        posterior(accident_net, "HI", {"C": []})
+    with pytest.raises(UnknownNodeError):
+        posterior(accident_net, "C", {"XX": ()})
+    with pytest.raises(UnknownStateError):
+        posterior(accident_net, "C", {"VS": [NodeState("unstable")]})
+
+
+@pytest.mark.parametrize(
+    "bad", ["severe", "", 3, None, [NodeState("severe"), "mild"], {"severe": 1}]
+)
+def test_malformed_evidence_values_raise_a_typed_error(accident_net, bad):
+    # a string is neither a state nor a collection of states, however it iterates
+    queries = (
+        lambda ev: posterior(accident_net, "HI", ev),
+        lambda ev: marginals(accident_net, ["HI"], ev),
+        lambda ev: evidence_probability(accident_net, ev),
+    )
+    for query in queries:
+        with pytest.raises(TypeError) as info:
+            query({"C": bad})
+        assert str(info.value).startswith("evidence on node 'C' must be a NodeState")
+
+
 def test_index_maps_follow_node_and_state_order(accident_spec, accident_net):
     assert accident_net.node_ids == accident_spec.node_ids()
     for i, nid in enumerate(accident_spec.node_ids()):
@@ -386,6 +424,31 @@ def test_marginals_match_enumeration(seed):
     for nid, dist in got.items():
         assert dist.states == net.states[nid]
         assert np.max(np.abs(dist.probs - joint.distribution(nid).probs)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_set_valued_evidence_matches_enumeration(seed):
+    # one node restricted to a random non-empty subset of its states, plus
+    # ordinary evidence elsewhere, against a sum of one-state oracle joints
+    rng = np.random.default_rng(seed)
+    spec = random_network(rng)
+    net = compile_network(spec)
+    evidence = random_evidence(rng, spec)
+    held = net.node_ids[int(rng.integers(len(net.node_ids)))]
+    evidence.pop(held, None)
+    states = net.states[held]
+    size = int(rng.integers(1, len(states) + 1))
+    subset = [states[int(i)] for i in rng.choice(len(states), size=size, replace=False)]
+    joints = [joint_enumerate(spec, {**evidence, held: s}) for s in subset]
+    total = sum(j.total() for j in joints)
+    restricted = {**evidence, held: subset}
+    assert abs(evidence_probability(net, restricted) - total) <= 1e-12
+    got = marginals(net, net.node_ids, restricted)
+    for nid in net.node_ids:
+        want = sum(j.marginal(nid) for j in joints) / total
+        assert np.max(np.abs(posterior(net, nid, restricted).probs - want)) <= 1e-12
+        assert np.max(np.abs(got[nid].probs - want)) <= 1e-12
 
 
 def test_marginals_eliminate_from_the_ancestral_set_of_all_targets(monkeypatch):

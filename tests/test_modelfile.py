@@ -173,8 +173,9 @@ def test_node_shape_errors(accident_spec):
 
     data = _fixture_dict(accident_spec)
     data["nodes"][4]["intervals"][0] = [0, "ten"]
-    with pytest.raises(ModelFormatError, match="must be a number"):
+    with pytest.raises(ModelFormatError) as info:
         network_from_dict(data)
+    assert str(info.value) == "nodes[4].intervals[0] must be a number, got 'ten'"
 
 
 def test_edge_and_cpt_shape_errors(accident_spec):
@@ -185,8 +186,9 @@ def test_edge_and_cpt_shape_errors(accident_spec):
 
     data = _fixture_dict(accident_spec)
     data["cpts"]["HI"]["rows"]["severe"] = [0.9, True]
-    with pytest.raises(ModelFormatError, match="must be a number"):
+    with pytest.raises(ModelFormatError) as info:
         network_from_dict(data)
+    assert str(info.value) == "cpts['HI'].rows['severe'][1] must be a number, got True"
 
     data = _fixture_dict(accident_spec)
     data["cpts"]["HI"]["parents"] = ["C", "IB"]

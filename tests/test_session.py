@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tnbn.inference
 import tnbn.session
 
 from tnbn import (
@@ -132,7 +133,6 @@ def test_scenario_weights_account_for_resolved_evidence(accident_spec, accident_
     for sc in s.scenarios():
         idx = sc.assignment["VS"].interval_index
         assert sc.weight == pytest.approx(masses[idx] / total, abs=TOL)
-        assert sc.evidence["PD"] == NodeState("normal")
 
 
 def test_next_event_settles_the_pending_observation(accident_net):
@@ -141,7 +141,6 @@ def test_next_event_settles_the_pending_observation(accident_net):
     r = s.resolved["VS"]
     assert r.state == NodeState("unstable", 1)
     assert r.window == (110, 130)
-    assert s.scenario_set == [(s.resolved_evidence, 1.0)]
 
 
 def test_resolution_is_order_independent_for_this_pair(accident_net):
@@ -188,6 +187,32 @@ def test_pending_settles_within_range_of_the_new_event(accident_net):
     assert s.resolved["VS"].window == (26, 36)
 
 
+def test_change_timed_before_a_resolved_anchor_is_inconsistent(accident_net):
+    # VS would resolve 15 minutes before its cause C: no interval measures that
+    s = observe_all(open_session(accident_net), ("C", "severe", 100), ("VS", "unstable", 85))
+    assert "VS" not in s.resolved
+    assert s.inconsistent == (
+        (ObservedEvent("VS", "unstable", 85), "reported at 85, before the anchor C=severe at 100"),
+    )
+    # instantaneous reports and no-change assertions carry no interval
+    s = observe_all(
+        open_session(accident_net), ("C", "severe", 100), ("HI", "true", 90), ("PD", "normal", 50)
+    )
+    assert s.resolved_evidence == {
+        "C": NodeState("severe"), "HI": NodeState("true"), "PD": NodeState("normal")
+    }
+    assert s.inconsistent == ()
+    # the anchor stays the first report, even once it is settled backward
+    s = observe_all(
+        open_session(accident_net),
+        ("VS", "unstable", 115), ("C", "severe", 100), ("PD", "dilated", 105),
+    )
+    assert s.resolved["VS"].state == NodeState("unstable", 1)
+    assert [(e.node, reason) for e, reason in s.inconsistent] == [
+        ("PD", "reported at 105, before the anchor VS=unstable at 115")
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_at_most_the_anchor_is_ever_pending(seed):
@@ -207,7 +232,7 @@ def test_at_most_the_anchor_is_ever_pending(seed):
 
 
 def test_pending_predict_weighs_the_scenarios_once(accident_net, monkeypatch):
-    counts = {"evidence_probability": 0, "marginals": 0, "scenarios": 0}
+    counts = {"evidence_probability": 0, "marginals": 0, "queries": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -215,16 +240,24 @@ def test_pending_predict_weighs_the_scenarios_once(accident_net, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("evidence_probability", "marginals"):
-        monkeypatch.setattr(tnbn.session, name, counted(name, getattr(tnbn.session, name)))
+    monkeypatch.setattr(tnbn.session, "marginals", counted("marginals", tnbn.session.marginals))
     monkeypatch.setattr(
-        tnbn.session.Session, "scenarios", counted("scenarios", tnbn.session.Session.scenarios)
+        tnbn.inference,
+        "evidence_probability",
+        counted("evidence_probability", tnbn.inference.evidence_probability),
+    )
+    # every inference entry point reads its evidence exactly once
+    monkeypatch.setattr(
+        tnbn.inference,
+        "_evidence_positions",
+        counted("queries", tnbn.inference._evidence_positions),
     )
     s = observe_all(open_session(accident_net), ("VS", "unstable", 115))
     report = s.predict()
-    # one marginals() call per candidate interval of VS, each for all four forecast nodes
+    # one marginals() call for all four forecast nodes, with VS restricted
+    # to its unstable intervals; no scenario is weighed on its own
     assert list(report.forecasts) == ["C", "HI", "IB", "PD"]
-    assert counts == {"evidence_probability": 3, "marginals": 3, "scenarios": 1}
+    assert counts == {"evidence_probability": 0, "marginals": 1, "queries": 1}
 
 
 # --- observation rules --------------------------------------------------------
