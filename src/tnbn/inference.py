@@ -1,13 +1,21 @@
-"""Exact inference: factor elimination plus a full-joint enumeration oracle.
+"""Exact inference: one calibrated propagation per query, plus a full-joint
+enumeration oracle.
 
-`posterior` answers queries by variable elimination over factors, after
-pruning every node that is neither the query, nor evidence, nor an ancestor
-of either (such barren nodes sum out to one). `marginals` answers several
-targets from one such factor set, pruned to the ancestral set of all of
-them. As a cross-check, `joint_enumerate` builds the complete joint table
-over every state assignment without using the factor machinery at all;
-the two paths share nothing but the network definition, so agreement
-between them is a meaningful test of both.
+Every query is first pruned to its targets, its evidence and their
+ancestors (every other node is barren and sums out to one), and the
+remaining CPT factors are reduced by the evidence. `_propagate` then makes
+one forward pass of bucket elimination along the min-degree order (Dechter
+1996) and, for more than one target, one backward pass of Shafer-Shenoy
+messages over the resulting bucket tree (Shafer & Shenoy 1990). Together
+they give every target's marginal and log P(evidence). Each forward message
+is divided by its sum and the log of that sum is carried instead, so
+evidence whose probability lies far below the smallest float still yields
+posteriors and a finite `log_evidence_probability`. `posterior`,
+`marginals`, `log_evidence_probability` and `evidence_probability` are thin
+wrappers around that one routine. As a cross-check, `joint_enumerate`
+builds the complete joint table over every state assignment without using
+the factor machinery at all; the two paths share nothing but the network
+definition, so agreement between them is a meaningful test of both.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -85,6 +93,8 @@ class Factor:
 def _expand(f: Factor, scope: tuple[int, ...]) -> np.ndarray:
     # f.scope is a sorted subsequence of scope, so inserting singleton axes
     # at the missing positions is a plain reshape.
+    if f.scope == scope:
+        return f.values
     shape = [1] * len(scope)
     for ax, idx in enumerate(scope):
         if idx in f.scope:
@@ -226,24 +236,71 @@ def _reduced_factors(
     return out + masks
 
 
-def _eliminate(net: CompiledNetwork, factors: list[Factor], keep: set[int]) -> list[Factor]:
-    """Sum out every variable not in `keep`, smallest factor-graph degree
-    first; ties go to the lowest node index. Raises FactorSizeError before
-    building a product larger than FACTOR_SIZE_LIMIT cells."""
-    factors = list(factors)
+@dataclass(eq=False)
+class _Bucket:
+    """One variable summed out in the forward pass: the factors that held it,
+    their product, the message it sent (None for a scalar, which only
+    scales P(e)) and the bucket that received that message (None for a
+    tree's top)."""
+
+    var: int
+    factors: list[Factor]
+    product: Factor
+    message: Optional[Factor]
+    parent: Optional[int] = None
+
+
+def _project(f: Factor, keep: Collection[int]) -> Factor:
+    """Sum out every axis of `f` whose node is not in `keep`."""
+    gone = tuple(ax for ax, i in enumerate(f.scope) if i not in keep)
+    if not gone:
+        return f
+    return Factor(tuple(i for i in f.scope if i in keep), f.values.sum(axis=gone))
+
+
+def _propagate(
+    net: CompiledNetwork, factors: list[Factor], free: list[int]
+) -> tuple[float, dict[int, np.ndarray]]:
+    """log P(evidence) and the normalised marginal of every free target axis,
+    from one forward and one backward pass over the bucket tree of `factors`
+    (Dechter 1996; Shafer & Shenoy 1990).
+
+    Forward: every variable but `free[0]` is summed out, smallest
+    factor-graph degree first; ties go to the lowest node index. Each message
+    is divided by its sum, and the log of that sum, like the log of every
+    scalar factor, is added to log P(e), so no running product underflows.
+    Raises FactorSizeError before building a product larger than
+    FACTOR_SIZE_LIMIT cells. What is left is over `free[0]` alone: its
+    marginal and the last normaliser. Backward, only with more than one free
+    target: each bucket on a path to a target's bucket receives the product
+    of its parent's other factors and incoming message, summed onto the scope
+    of the message it sent up (no division), and its target's marginal is
+    read off its belief. Returns (-inf, {}) as soon as P(e) is found to be 0.
+    """
+    log_z = 0.0
+    pool = []
+    for f in factors:
+        if f.scope:
+            pool.append(f)
+        elif f.values > 0.0:
+            log_z += math.log(f.values)
+        else:
+            return -math.inf, {}
+    keep = set(free[:1])
+    track = len(free) > 1
+    buckets: list[_Bucket] = []
+    sender: dict[int, int] = {}  # id of a message still in the pool -> its bucket
     while True:
-        present: set[int] = set()
-        for f in factors:
-            present.update(f.scope)
-        candidates = present - keep
+        scopes = [f.scope for f in pool]
+        candidates = set().union(*scopes) - keep
         if not candidates:
-            return factors
+            break
         best: Optional[tuple[int, int, set[int]]] = None
         for v in sorted(candidates):
             neighbors: set[int] = set()
-            for f in factors:
-                if v in f.scope:
-                    neighbors.update(f.scope)
+            for scope in scopes:
+                if v in scope:
+                    neighbors.update(scope)
             neighbors.discard(v)
             if best is None or len(neighbors) < best[0]:
                 best = (len(neighbors), v, neighbors)
@@ -251,48 +308,121 @@ def _eliminate(net: CompiledNetwork, factors: list[Factor], keep: set[int]) -> l
         cells = math.prod(len(net.states[net.node_ids[i]]) for i in neighbors | {v})
         if cells > FACTOR_SIZE_LIMIT:
             raise FactorSizeError(net.node_ids[v], len(neighbors) + 1, cells, FACTOR_SIZE_LIMIT)
-        touching = [f for f in factors if v in f.scope]
-        rest = [f for f in factors if v not in f.scope]
-        product = touching[0]
-        for f in touching[1:]:
-            product = _multiply(product, f)
-        rest.append(_sum_out(product, v))
-        factors = rest
+        touching = [f for f in pool if v in f.scope]
+        pool = [f for f in pool if v not in f.scope]
+        product = reduce(_multiply, touching)
+        message = _sum_out(product, v)
+        total = float(message.values.sum())
+        if not total > 0.0:
+            return -math.inf, {}
+        log_z += math.log(total)
+        if message.scope:
+            values = message.values  # a fresh array, owned by this message
+            values /= total
+            pool.append(message)
+        else:
+            message = None
+        if track:
+            k = len(buckets)
+            for f in touching:
+                if id(f) in sender:
+                    buckets[sender.pop(id(f))].parent = k
+            if message is not None:
+                sender[id(message)] = k
+            buckets.append(_Bucket(v, touching, product, message))
+    if not free:
+        return log_z, {}
+
+    root = reduce(_multiply, pool)
+    total = float(root.values.sum())
+    if not total > 0.0:
+        return -math.inf, {}
+    log_z += math.log(total)
+    out = {free[0]: root.values / total}
+    if not track:
+        return log_z, out
+
+    for f in pool:
+        if id(f) in sender:
+            buckets[sender[id(f)]].parent = len(buckets)
+    buckets.append(_Bucket(free[0], pool, root, None))
+    at = {b.var: k for k, b in enumerate(buckets)}
+    on_path: set[int] = set()
+    for t in free[1:]:
+        k = at[t]
+        while k is not None and k not in on_path:
+            on_path.add(k)
+            k = buckets[k].parent
+    # the message each bucket on a path receives from its parent (None when
+    # it is constant); a parent is created after its children, so this
+    # visits it first. Each product is rebuilt from the parent's other
+    # factors rather than kept, so no more than one is alive at a time.
+    down: dict[int, Optional[Factor]] = {}
+    for k in sorted(on_path, reverse=True):
+        b = buckets[k]
+        down[k] = None
+        if b.parent is None:
+            continue
+        parts = [f for f in buckets[b.parent].factors if f is not b.message]
+        if down[b.parent] is not None:
+            parts.append(down[b.parent])
+        if parts:
+            incoming = _project(reduce(_multiply, parts), b.message.scope)
+            if incoming.scope:
+                down[k] = Factor(incoming.scope, incoming.values / incoming.values.sum())
+    for t in free[1:]:
+        k = at[t]
+        belief = buckets[k].product
+        if down[k] is not None:
+            belief = _multiply(belief, down[k])
+        marginal = _project(belief, (t,)).values
+        out[t] = marginal / marginal.sum()
+    return log_z, out
 
 
-def _posterior_from(
-    net: CompiledNetwork, factors: list[Factor], query: str, ev_pos: _Positions
-) -> Distribution:
-    """P(query | evidence) from CPT factors already reduced by the evidence."""
-    qstates = net.states[query]
-    if isinstance(ev_pos.get(query), int):
-        probs = np.zeros(len(qstates))
-        probs[ev_pos[query]] = 1.0
-        return Distribution(query, qstates, probs)
-    remaining = _eliminate(net, factors, keep={net.axes[query]})
-    total = Factor((), np.array(1.0))
-    for f in remaining:
-        total = _multiply(total, f)
-    z = float(total.values.sum())
-    if not z > 0.0:
-        raise ZeroProbabilityEvidenceError(
-            "the given evidence has probability zero under the model"
-        )
-    return Distribution(query, qstates, np.asarray(total.values, dtype=float) / z)
+def _distributions(
+    net: CompiledNetwork, targets: Iterable[str], evidence: Optional[Evidence]
+) -> dict[str, Distribution]:
+    """P(target | evidence) for every target, in target order, from one
+    propagation; single-state evidence on a target gives its point mass."""
+    targets = list(targets)
+    axes = [net.index(t) for t in targets]  # raises UnknownNodeError for unknown ids
+    ev_pos = _evidence_positions(net, evidence)
+    free = dict.fromkeys(a for t, a in zip(targets, axes) if not isinstance(ev_pos.get(t), int))
+    probs: dict[int, np.ndarray] = {}
+    if free:
+        log_z, probs = _propagate(net, _reduced_factors(net, ev_pos, axes), list(free))
+        if log_z == -math.inf:
+            raise ZeroProbabilityEvidenceError(
+                "the given evidence has probability zero under the model"
+            )
+    out = {}
+    for t, a in zip(targets, axes):
+        if a in probs:
+            out[t] = Distribution(t, net.states[t], probs[a])
+        else:
+            point = np.zeros(len(net.states[t]))
+            point[ev_pos[t]] = 1.0
+            out[t] = Distribution(t, net.states[t], point)
+    return out
+
+
+def _log_evidence(net: CompiledNetwork, evidence: Optional[Evidence]) -> float:
+    ev_pos = _evidence_positions(net, evidence)
+    return _propagate(net, _reduced_factors(net, ev_pos), [])[0]
 
 
 def posterior(net: CompiledNetwork, query: str, evidence: Optional[Evidence] = None) -> Distribution:
-    """P(query | evidence) by variable elimination.
+    """P(query | evidence) by one elimination.
 
     Only the factors of the query, the evidence and their ancestors enter
     the elimination. An evidence value is a NodeState, or a collection of
     them meaning "one of these" (anything else raises TypeError).
     Single-state evidence on the query node yields the matching point mass.
-    Evidence whose probability is zero raises ZeroProbabilityEvidenceError.
+    Evidence whose probability is zero (log P(e) = -inf, not merely below
+    the smallest float) raises ZeroProbabilityEvidenceError.
     """
-    qidx = net.index(query)  # raises UnknownNodeError for unknown ids
-    ev_pos = _evidence_positions(net, evidence)
-    return _posterior_from(net, _reduced_factors(net, ev_pos, [qidx]), query, ev_pos)
+    return _distributions(net, [query], evidence)[query]
 
 
 def marginals(
@@ -301,26 +431,24 @@ def marginals(
     """P(target | evidence) for every target, in target order.
 
     The factors of the targets, the evidence and their ancestors are reduced
-    once, and every target is eliminated from that one shared set. A target
-    with single-state evidence on it yields the matching point mass. Evidence
-    whose probability is zero raises ZeroProbabilityEvidenceError.
+    once, and one forward and one backward pass over them give every
+    target's marginal. A target with single-state evidence on it yields the
+    matching point mass. Evidence whose probability is zero raises
+    ZeroProbabilityEvidenceError.
     """
-    targets = list(targets)
-    axes = [net.index(t) for t in targets]  # raises UnknownNodeError for unknown ids
-    ev_pos = _evidence_positions(net, evidence)
-    factors = _reduced_factors(net, ev_pos, axes)
-    return {t: _posterior_from(net, factors, t, ev_pos) for t in targets}
+    return _distributions(net, targets, evidence)
+
+
+def log_evidence_probability(net: CompiledNetwork, evidence: Optional[Evidence] = None) -> float:
+    """log P(evidence), finite however far P(evidence) falls below the
+    smallest float; -inf when it is zero (e.g. an empty collection of
+    states). Only the factors of the evidence and its ancestors enter."""
+    return _log_evidence(net, evidence)
 
 
 def evidence_probability(net: CompiledNetwork, evidence: Optional[Evidence] = None) -> float:
-    """P(evidence): the normalizing constant after reducing the factors of
-    the evidence and its ancestors (0.0 for an empty collection of states)."""
-    ev_pos = _evidence_positions(net, evidence)
-    remaining = _eliminate(net, _reduced_factors(net, ev_pos), keep=set())
-    total = 1.0
-    for f in remaining:
-        total *= float(f.values)
-    return total
+    """P(evidence), as exp(log_evidence_probability); 0.0 when it underflows."""
+    return math.exp(_log_evidence(net, evidence))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from .errors import ModelFormatError, TNBNError
 from .model import (
@@ -82,11 +82,28 @@ def _string(value: Any, what: str) -> str:
     return value
 
 
-def _number(value: Any, what: str, index: Optional[int] = None) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        where = what if index is None else f"{what}[{index}]"
-        raise ModelFormatError(f"{where} must be a number, got {value!r}")
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value: Any, what: str) -> float:
+    if not _is_number(value):
+        raise ModelFormatError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+# A CPT row's place in the file is formatted only for an error message, so a
+# clean load builds no string per row.
+def _row_at(where: str, key_text: Any) -> str:
+    return f"{where}.rows[{key_text!r}]"
+
+
+def _row_error(where: str, key_text: Any, probs_raw: Any) -> str:
+    at = _row_at(where, key_text)
+    if not isinstance(probs_raw, list):
+        return f"{at} must be a list of probabilities"
+    j, bad = next((j, p) for j, p in enumerate(probs_raw) if not _is_number(p))
+    return f"{at}[{j}] must be a number, got {bad!r}"
 
 
 def network_from_dict(data: Any) -> NetworkSpec:
@@ -163,10 +180,10 @@ def network_from_dict(data: Any) -> NetworkSpec:
         _expect(isinstance(rows_raw, dict), f"{where}.rows must be an object")
         rows: dict[tuple[NodeState, ...], tuple[float, ...]] = {}
         for key_text, probs_raw in rows_raw.items():
-            at = f"{where}.rows[{key_text!r}]"
-            key = _parse_row_key(by_id, parsed, parents, key_text, at)
-            _expect(isinstance(probs_raw, list), f"{at} must be a list of probabilities")
-            rows[key] = tuple(_number(p, at, j) for j, p in enumerate(probs_raw))
+            key = _parse_row_key(by_id, parsed, parents, key_text, where)
+            if not isinstance(probs_raw, list) or not all(map(_is_number, probs_raw)):
+                raise ModelFormatError(_row_error(where, key_text, probs_raw))
+            rows[key] = tuple(map(float, probs_raw))
         tables[child] = ConditionalTable(child, parents, rows)
 
     return NetworkSpec(name, time_unit, tuple(nodes), tuple(edges), tables)
@@ -179,23 +196,29 @@ def _parse_row_key(
     key_text: Any,
     where: str,
 ) -> tuple[NodeState, ...]:
-    key_text = _string(key_text, f"{where} key")
+    if not isinstance(key_text, str):
+        raise ModelFormatError(f"{_row_at(where, key_text)} key must be a string, got {key_text!r}")
     parts = key_text.split("|") if key_text else []
-    _expect(
-        len(parts) == len(parents),
-        f"{where}: key names {len(parts)} parent states but the table has "
-        f"{len(parents)} parents",
-    )
+    if len(parts) != len(parents):
+        raise ModelFormatError(
+            f"{_row_at(where, key_text)}: key names {len(parts)} parent states but the "
+            f"table has {len(parents)} parents"
+        )
     key = []
     for pid, part in zip(parents, parts):
         state = parsed.get((pid, part))
         if state is None:
             node = by_id.get(pid)
-            _expect(node is not None, f"{where}: parent {pid!r} is not a declared node")
+            if node is None:
+                raise ModelFormatError(
+                    f"{_row_at(where, key_text)}: parent {pid!r} is not a declared node"
+                )
             try:
                 state = parsed[pid, part] = node.parse_state_label(part)
             except (TNBNError, ValueError) as err:
-                raise ModelFormatError(f"{where}: cannot interpret {part!r}: {err}") from None
+                raise ModelFormatError(
+                    f"{_row_at(where, key_text)}: cannot interpret {part!r}: {err}"
+                ) from None
         key.append(state)
     return tuple(key)
 

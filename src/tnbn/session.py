@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import (
@@ -121,6 +122,14 @@ class Session:
             evidence[held.node] = [s for s in self.net.states[held.node] if s.value == held.value]
         return evidence
 
+    @cached_property
+    def _posteriors(self) -> dict[str, Distribution]:
+        """P(node | evidence) for every node not resolved, the held one
+        included, from one query; `scenarios`, `predict` and `diagnose`
+        all read it, so a session answers them from one propagation."""
+        targets = [nid for nid in self.net.node_ids if nid not in self.resolved]
+        return marginals(self.net, targets, self._evidence)
+
     def observe(self, event: ObservedEvent) -> "Session":
         """Fold one event in and return the extended session.
 
@@ -208,7 +217,7 @@ class Session:
                 "no pending observations; every observed node is resolved"
             )
         (held,) = self.pending
-        dist = marginals(self.net, [held.node], self._evidence)[held.node]
+        dist = self._posteriors[held.node]
         out = [Scenario({held.node: s}, w) for s, w in dist.items() if s.value == held.value]
         out.sort(key=lambda s: -s.weight)
         return out
@@ -228,9 +237,9 @@ class Session:
 
     def _report(self, targets: list[str]) -> PredictionReport:
         assert self.anchor is not None
-        dists = marginals(self.net, targets, self._evidence)
+        dists = self._posteriors
         return PredictionReport(
-            self.anchor, {nid: self._forecast(dist) for nid, dist in dists.items()}
+            self.anchor, {nid: self._forecast(dists[nid]) for nid in targets}
         )
 
     def predict(self) -> PredictionReport:

@@ -8,6 +8,7 @@ nonzero probability.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 import numpy as np
 
@@ -60,8 +61,12 @@ def random_network(
     temporal_share: float = 0.4,
     edge_share: float = 0.4,
     max_parents: int = 3,
+    n_nodes: Optional[int] = None,
 ) -> NetworkSpec:
-    n_nodes = int(rng.integers(2, max_nodes + 1))
+    """A random network of `n_nodes` nodes, or of 2 to `max_nodes` when
+    `n_nodes` is None."""
+    if n_nodes is None:
+        n_nodes = int(rng.integers(2, max_nodes + 1))
     nodes = tuple(
         _random_node(rng, i, temporal_share if i > 0 else 0.0, max_states)
         for i in range(n_nodes)

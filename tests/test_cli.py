@@ -159,10 +159,13 @@ def test_session_weighs_the_scenarios_once(model_path, tmp_path, monkeypatch, ca
     monkeypatch.setattr(tnbn.session, "marginals", counted)
     log = tmp_path / "intake.log"
     log.write_text("115 VS unstable\n")
-    assert tnbn.cli.main(["session", model_path, str(log)]) == 0
-    # one query on VS for the printed scenarios, one for all the forecasts
-    assert [list(targets) for _, targets, _ in calls] == [["VS"], ["C", "HI", "IB", "PD"]]
-    assert "scenarios:" in capsys.readouterr().out
+    for extra in ([], ["--diagnose"]):
+        calls.clear()
+        assert tnbn.cli.main(["session", model_path, str(log), *extra]) == 0
+        # one query on every unresolved node serves the printed scenarios
+        # (VS) and the forecasts or the diagnosis (the others)
+        assert [list(targets) for _, targets, _ in calls] == [["C", "HI", "IB", "PD", "VS"]]
+        assert "scenarios:" in capsys.readouterr().out
 
 
 PENDING_SESSION_HEAD = """\

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from tnbn import (
     compile_network,
     evidence_probability,
     joint_enumerate,
+    log_evidence_probability,
     marginals,
     posterior,
 )
@@ -462,7 +465,9 @@ def test_marginals_eliminate_from_the_ancestral_set_of_all_targets(monkeypatch):
         counts["sum_out"] = 0
         marginals(net, targets, evidence)
         kept = ancestral_set(spec, {*targets, *evidence})
-        assert counts["sum_out"] == len(targets) * (len(kept) - 1 - len(evidence))
+        # one forward pass sums out every kept variable but the first target,
+        # however many targets there are; the backward pass sums out none
+        assert counts["sum_out"] == (len(kept) - 1 - len(evidence) if targets else 0)
 
 
 def test_marginals_errors_and_point_masses(accident_net):
@@ -494,3 +499,114 @@ def test_factor_size_guard_trips_before_any_product(accident_net, monkeypatch):
     # the largest factor is the next step's, over HI, IB and VS: 2 * 3 * 4
     monkeypatch.setattr(tnbn.inference, "FACTOR_SIZE_LIMIT", 24)
     assert float(posterior(accident_net, "VS").probs.sum()) == pytest.approx(1.0, abs=TOL)
+
+
+# --- evidence too unlikely for a float ------------------------------------------
+
+def least_likely_evidence(net):
+    """Every node at the least likely state of its CPT row, given the states
+    already chosen for its parents, and the log of each chosen entry."""
+    evidence, logs = {}, {}
+    for nid in net.topo:
+        table = net.spec.tables[nid]
+        row = table.rows[tuple(evidence[p] for p in table.parent_order)]
+        j = int(np.argmin(row))
+        evidence[nid] = net.states[nid][j]
+        logs[nid] = math.log(row[j])
+    return evidence, logs
+
+
+def hidden_log_weights(net, hidden, evidence):
+    """For every joint state of the hidden nodes (one axis each, in order),
+    the sum of the logs of the CPT entries of the hidden nodes and their
+    children, every other node read from evidence: no joint table needed."""
+    spec = net.spec
+    touched = dict.fromkeys([*hidden, *(c for h in hidden for c in spec.children(h))])
+    out = np.empty([len(net.states[h]) for h in hidden])
+    for at in np.ndindex(out.shape):
+        states = {**evidence, **{h: net.states[h][i] for h, i in zip(hidden, at)}}
+        total = 0.0
+        for nid in touched:
+            row = spec.tables[nid].rows[tuple(states[p] for p in spec.tables[nid].parent_order)]
+            total += math.log(row[net.positions[nid][states[nid]]])
+        out[at] = total
+    return out
+
+
+def log_sum_exp(x):
+    top = float(np.max(x))
+    return top + math.log(float(np.exp(x - top).sum()))
+
+
+@pytest.fixture(scope="module")
+def wide_net():
+    spec = random_network(np.random.default_rng(400), n_nodes=420, edge_share=0.02)
+    return compile_network(spec)
+
+
+def test_log_evidence_probability_is_the_sum_of_the_logs_of_the_entries_used(wide_net):
+    evidence, logs = least_likely_evidence(wide_net)
+    want = sum(logs.values())
+    assert math.exp(want) == 0.0  # far below the smallest float
+    got = log_evidence_probability(wide_net, evidence)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert evidence_probability(wide_net, evidence) == 0.0
+    assert log_evidence_probability(wide_net, {}) == 0.0
+    assert log_evidence_probability(wide_net, {"N3": ()}) == -math.inf
+
+
+def test_posteriors_under_underflowing_evidence_match_the_markov_blanket(wide_net):
+    spec = wide_net.spec
+    evidence, logs = least_likely_evidence(wide_net)
+    # unobserved nodes none of which lies in another's Markov blanket, so
+    # each blanket is fully observed
+    hidden: list[str] = []
+    blocked: set[str] = set()
+    for nid in reversed(wide_net.node_ids):
+        children = spec.children(nid)
+        blanket = set(spec.parents(nid)) | set(children)
+        for c in children:
+            blanket.update(spec.parents(c))
+        if nid not in blocked and not blanket & set(hidden):
+            hidden.append(nid)
+            blocked |= blanket
+        if len(hidden) == 12:
+            break
+    assert len(hidden) == 12
+    rest = {nid: s for nid, s in evidence.items() if nid not in hidden}
+    got = marginals(wide_net, hidden, rest)
+    assert list(got) == hidden
+    want_log = sum(
+        logs[nid] for nid in wide_net.node_ids
+        if nid not in hidden and not set(spec.parents(nid)) & set(hidden)
+    )
+    for nid in hidden:
+        weights = hidden_log_weights(wide_net, [nid], rest)
+        want_log += log_sum_exp(weights)
+        want = np.exp(weights - log_sum_exp(weights))
+        assert np.max(np.abs(got[nid].probs - want)) <= 1e-12
+        alone = {k: s for k, s in evidence.items() if k != nid}
+        assert np.max(np.abs(posterior(wide_net, nid, alone).probs - want)) <= 1e-12
+    assert math.exp(want_log) == 0.0
+    assert log_evidence_probability(wide_net, rest) == pytest.approx(want_log, rel=1e-9)
+
+
+def test_messages_between_hidden_hubs_carry_their_scale_as_a_log():
+    # the three first nodes are parents of most others, so with every other
+    # node observed, the messages among them carry about 900 nats of evidence
+    spec = random_network(np.random.default_rng(401), n_nodes=700)
+    net = compile_network(spec)
+    evidence, logs = least_likely_evidence(net)
+    hubs = ["N0", "N1", "N2"]
+    rest = {nid: s for nid, s in evidence.items() if nid not in hubs}
+    weights = hidden_log_weights(net, hubs, rest)
+    touched = set(hubs).union(*(spec.children(h) for h in hubs))
+    assert math.exp(log_sum_exp(weights)) == 0.0
+    want_log = log_sum_exp(weights) + sum(logs[n] for n in net.node_ids if n not in touched)
+    assert log_evidence_probability(net, rest) == pytest.approx(want_log, rel=1e-9)
+    joint = np.exp(weights - log_sum_exp(weights))
+    got = marginals(net, hubs, rest)
+    for ax, nid in enumerate(hubs):
+        want = joint.sum(axis=tuple(a for a in range(len(hubs)) if a != ax))
+        assert np.max(np.abs(got[nid].probs - want)) <= 1e-12
+        assert np.max(np.abs(posterior(net, nid, rest).probs - want)) <= 1e-12

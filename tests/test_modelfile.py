@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tnbn.model
+import tnbn.modelfile
 
 from tnbn import (
     ConditionalTable,
@@ -205,6 +206,61 @@ def test_edge_and_cpt_shape_errors(accident_spec):
     rows["catastrophic"] = rows.pop("severe")
     with pytest.raises(ModelFormatError, match="cannot interpret"):
         network_from_dict(data)
+
+
+def test_row_errors_name_the_row(accident_spec):
+    # the row's place is formatted only when a row fails; the text is pinned
+    def key_is_a_number(cpts):
+        cpts["HI"]["rows"][7] = [0.5, 0.5]
+
+    def extra_parent(cpts):
+        cpts["HI"]["parents"].append("IB")
+
+    def undeclared_parent(cpts):
+        cpts["HI"]["parents"] = ["NOPE"]
+
+    def unknown_label(cpts):
+        cpts["HI"]["rows"]["catastrophic"] = cpts["HI"]["rows"].pop("severe")
+
+    def row_is_text(cpts):
+        cpts["HI"]["rows"]["severe"] = "0.9"
+
+    def entry_is_text(cpts):
+        cpts["HI"]["rows"]["severe"] = [0.9, 0.1, "x"]
+
+    def root_entry_is_null(cpts):
+        cpts["C"]["rows"][""] = [None]
+
+    cases = [
+        (key_is_a_number, "cpts['HI'].rows[7] key must be a string, got 7"),
+        (extra_parent, "cpts['HI'].rows['severe']: key names 1 parent states but the table has 2 parents"),
+        (undeclared_parent, "cpts['HI'].rows['severe']: parent 'NOPE' is not a declared node"),
+        (unknown_label, "cpts['HI'].rows['catastrophic']: cannot interpret 'catastrophic': "
+         "unknown state 'catastrophic' for node 'C'; legal states: severe, moderate, mild"),
+        (row_is_text, "cpts['HI'].rows['severe'] must be a list of probabilities"),
+        (entry_is_text, "cpts['HI'].rows['severe'][2] must be a number, got 'x'"),
+        (root_entry_is_null, "cpts['C'].rows[''][0] must be a number, got None"),
+    ]
+    for mutate, message in cases:
+        data = _fixture_dict(accident_spec)
+        mutate(data["cpts"])
+        with pytest.raises(ModelFormatError) as info:
+            network_from_dict(data)
+        assert str(info.value) == message
+
+
+def test_a_clean_load_formats_no_row_text(monkeypatch):
+    calls = []
+    row_at = tnbn.modelfile._row_at
+
+    def counted(*args):
+        calls.append(args)
+        return row_at(*args)
+
+    monkeypatch.setattr(tnbn.modelfile, "_row_at", counted)
+    spec = random_network(np.random.default_rng(7), n_nodes=30)
+    assert network_from_dict(network_to_dict(spec)) == spec
+    assert calls == []
 
 
 def test_semantic_problems_are_left_to_validate(accident_spec):
