@@ -38,6 +38,7 @@ from .errors import (
 from .model import (
     NetworkSpec,
     NodeState,
+    _keys_in_order,
     state_enumeration,
     toposort,
     validate,
@@ -181,8 +182,11 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
         # rows stacked in parent-state order give axes (*parent_order, child);
         # validation guarantees exactly one row per parent-state tuple
         axes = [index[p] for p in table.parent_order] + [index[nid]]
-        keys = itertools.product(*(states[p] for p in table.parent_order))
-        rows = [table.rows[key] for key in keys]
+        enums = [states[p] for p in table.parent_order]
+        if _keys_in_order(table.rows, enums):
+            rows = list(table.rows.values())
+        else:
+            rows = [table.rows[key] for key in itertools.product(*enums)]
         shape = [card[p] for p in table.parent_order] + [card[nid]]
         block = np.array(rows, dtype=float).reshape(shape)
         arr = np.ascontiguousarray(block.transpose(np.argsort(axes)))

@@ -15,6 +15,9 @@ to absolute times is the session module's job.
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -154,16 +157,38 @@ class NodeSpec:
         return tuple(states)
 
     @cached_property
-    def _state_set(self) -> frozenset[NodeState]:
-        return frozenset(self._states)
+    def _interned(self) -> dict[NodeState, NodeState]:
+        """Each state mapped to its own object in `state_enumeration`."""
+        return {s: s for s in self._states}
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(_node_violations(self))
+
+    @cached_property
+    def _row_labels(self) -> Optional[tuple[str, ...]]:
+        """The state labels in enumeration order, or None unless each one
+        parses back to its own state when it is part of a "|"-joined row key.
+
+        A node free of node violations has non-empty labels without
+        whitespace, "|" or "@" in its values, and interval bounds that
+        `format_time` writes and `float` reads back exactly; distinct
+        intervals make each timed label name its own interval.
+        """
+        if self._violations or len(set(self.intervals)) != len(self.intervals):
+            return None
+        return tuple(self.state_labels())
 
     def parse_state_label(self, text: str) -> NodeState:
-        """Inverse of `state_label`; raises UnknownStateError otherwise."""
+        """Inverse of `state_label`; raises UnknownStateError otherwise.
+
+        The state returned is the node's own object from `state_enumeration`.
+        """
         text = text.strip()
         value, sep, rest = text.partition("@")
         if not sep:
-            state = NodeState(value)
-            if state in self._state_set:
+            state = self._interned.get(NodeState(value))
+            if state is not None:
                 return state
             raise UnknownStateError(self.id, text, self.state_labels())
         m = _TIMED_BOUNDS.fullmatch(rest)
@@ -174,8 +199,8 @@ class NodeSpec:
                 raise UnknownStateError(self.id, text, self.state_labels()) from None
             for i, iv in enumerate(self.intervals):
                 if iv.lo == lo and iv.hi == hi:
-                    state = NodeState(value, i)
-                    if state in self._state_set:
+                    state = self._interned.get(NodeState(value, i))
+                    if state is not None:
                         return state
         raise UnknownStateError(self.id, text, self.state_labels())
 
@@ -213,9 +238,8 @@ def resolve_interval(node: NodeSpec, elapsed: float) -> int:
 
 def _check_node_usable(node: NodeSpec) -> None:
     """Reject nodes too malformed to enumerate; full checks live in validate()."""
-    problems = _node_violations(node)
-    if problems:
-        raise ValueError(f"invalid node {node.id!r}: {problems[0].message}")
+    if node._violations:
+        raise ValueError(f"invalid node {node.id!r}: {node._violations[0].message}")
 
 
 @dataclass(frozen=True)
@@ -280,6 +304,32 @@ class NetworkSpec:
 
     def children(self, node_id: str) -> tuple[str, ...]:
         return self._edge_maps[1].get(node_id, ())
+
+    @cached_property
+    def _toposort(self) -> Optional[tuple[str, ...]]:
+        ids = self.node_ids()
+        rank: dict[str, int] = {}
+        for i, nid in enumerate(ids):
+            rank.setdefault(nid, i)  # a duplicated id ranks at its first occurrence
+        indeg = dict.fromkeys(rank, 0)
+        for p, c in self.edges:
+            if p in rank and c in rank:
+                indeg[c] += 1
+        order: list[str] = []
+        ready = [(rank[i], i) for i in ids if indeg[i] == 0]
+        heapq.heapify(ready)
+        while ready:
+            _, current = heapq.heappop(ready)
+            order.append(current)
+            for child in self.children(current):
+                if child not in rank:
+                    continue
+                indeg[child] -= 1
+                if indeg[child] == 0:
+                    heapq.heappush(ready, (rank[child], child))
+        if len(order) != len(ids):
+            return None
+        return tuple(order)
 
     def ancestors(self, node_ids: Iterable[str]) -> set[str]:
         """All strict ancestors of the given nodes."""
@@ -455,22 +505,31 @@ def _table_violations(spec: NetworkSpec, node: NodeSpec) -> list[Violation]:
     if child_enum is None:
         return out
 
-    expected_keys = {()}
-    for penum in enums:
-        expected_keys = {key + (s,) for key in expected_keys for s in penum}
-    seen = set(table.rows.keys())
-    for key in sorted(expected_keys - seen, key=repr):
-        out.append(
-            Violation(subject, f"missing row for parent states {_key_text(spec, table, key)}")
-        )
-    for key in sorted(seen - expected_keys, key=repr):
-        out.append(
-            Violation(subject, f"unexpected row for parent states {_key_text(spec, table, key)}")
-        )
+    rows = table.rows
+    if _keys_in_order(rows, enums):
+        valid = rows.items()
+    else:
+        # out of order: check each key on its own, and walk the product
+        # only when fewer keys are valid than it holds
+        sets = [frozenset(e) for e in enums]
+        valid, unexpected = [], []
+        for key, probs in rows.items():
+            ok = (
+                isinstance(key, tuple)
+                and len(key) == len(sets)
+                and all(s in states for s, states in zip(key, sets))
+            )
+            (valid if ok else unexpected).append((key, probs))
+        if len(valid) < math.prod(map(len, enums)):
+            missing = [key for key in itertools.product(*enums) if key not in rows]
+            for key in sorted(missing, key=repr):
+                text = _key_text(spec, table, key)
+                out.append(Violation(subject, f"missing row for parent states {text}"))
+        for key, _ in sorted(unexpected, key=lambda kp: repr(kp[0])):
+            text = _key_text(spec, table, key)
+            out.append(Violation(subject, f"unexpected row for parent states {text}"))
     bad_rows: list[tuple[tuple[NodeState, ...], str]] = []
-    for key, probs in table.rows.items():
-        if key not in expected_keys:
-            continue
+    for key, probs in valid:
         if len(probs) != len(child_enum):
             bad_rows.append((key, f"has {len(probs)} entries, expected {len(child_enum)}"))
         elif any(not 0 <= p <= 1 for p in probs):  # also catches NaN
@@ -480,6 +539,17 @@ def _table_violations(spec: NetworkSpec, node: NodeSpec) -> list[Violation]:
     for key, problem in sorted(bad_rows, key=lambda kp: repr(kp[0])):
         out.append(Violation(subject, f"row {_key_text(spec, table, key)} {problem}"))
     return out
+
+
+def _keys_in_order(
+    rows: Mapping[tuple[NodeState, ...], object], enums: list[tuple[NodeState, ...]]
+) -> bool:
+    """Whether the row keys are exactly the product of the parents' state
+    enumerations, in that order. Keys built from the enumerated states
+    compare by identity, so no state is hashed or compared by value."""
+    return len(rows) == math.prod(map(len, enums)) and all(
+        map(operator.eq, rows, itertools.product(*enums))
+    )
 
 
 def _key_text(spec: NetworkSpec, table: ConditionalTable, key: tuple[NodeState, ...]) -> str:
@@ -503,30 +573,9 @@ def _safe_enumeration(spec: NetworkSpec, node_id: str) -> Optional[tuple[NodeSta
 
 def toposort(spec: NetworkSpec) -> Optional[tuple[str, ...]]:
     """Topological order of node ids (declaration order breaks ties), or
-    None when the edge set has a cycle."""
-    ids = spec.node_ids()
-    rank: dict[str, int] = {}
-    for i, nid in enumerate(ids):
-        rank.setdefault(nid, i)  # a duplicated id ranks at its first occurrence
-    indeg = dict.fromkeys(rank, 0)
-    for p, c in spec.edges:
-        if p in rank and c in rank:
-            indeg[c] += 1
-    order: list[str] = []
-    ready = [(rank[i], i) for i in ids if indeg[i] == 0]
-    heapq.heapify(ready)
-    while ready:
-        _, current = heapq.heappop(ready)
-        order.append(current)
-        for child in spec.children(current):
-            if child not in rank:
-                continue
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                heapq.heappush(ready, (rank[child], child))
-    if len(order) != len(ids):
-        return None
-    return tuple(order)
+    None when the edge set has a cycle. Computed once per network, since it
+    depends only on the node and edge tuples."""
+    return spec._toposort
 
 
 def validate(spec: NetworkSpec) -> list[Violation]:
@@ -541,7 +590,7 @@ def validate(spec: NetworkSpec) -> list[Violation]:
         out.append(Violation(f"node {dup}", "node id declared more than once"))
 
     for node in spec.nodes:
-        out.extend(_node_violations(node))
+        out.extend(node._violations)
         out.extend(_interval_chain_violations(node))
 
     known = set(ids)

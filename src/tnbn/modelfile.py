@@ -17,10 +17,12 @@ network is reported through `validate` instead.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from .errors import ModelFormatError, TNBNError
 from .model import (
@@ -30,6 +32,7 @@ from .model import (
     NodeSpec,
     NodeState,
     TimeInterval,
+    state_enumeration,
 )
 from .session import ObservedEvent
 
@@ -143,8 +146,10 @@ def network_from_dict(data: Any) -> NetworkSpec:
         default = raw.get("default_value")
         if default is not None:
             default = _string(default, f"{where}.default_value")
+        intervals_raw = raw.get("intervals", [])
+        _expect(isinstance(intervals_raw, list), f"{where}.intervals must be a list")
         intervals = []
-        for j, pair in enumerate(raw.get("intervals", ())):
+        for j, pair in enumerate(intervals_raw):
             at = f"{where}.intervals[{j}]"
             _expect(
                 isinstance(pair, list) and len(pair) == 2,
@@ -178,15 +183,39 @@ def network_from_dict(data: Any) -> NetworkSpec:
         parents = tuple(_string(p, f"{where}.parents[{j}]") for j, p in enumerate(parents))
         rows_raw = raw.get("rows")
         _expect(isinstance(rows_raw, dict), f"{where}.rows must be an object")
+        keys = _canonical_keys(by_id, parents, rows_raw)
+        if keys is None:
+            keys = (_parse_row_key(by_id, parsed, parents, t, where) for t in rows_raw)
         rows: dict[tuple[NodeState, ...], tuple[float, ...]] = {}
-        for key_text, probs_raw in rows_raw.items():
-            key = _parse_row_key(by_id, parsed, parents, key_text, where)
+        for key, (key_text, probs_raw) in zip(keys, rows_raw.items()):
             if not isinstance(probs_raw, list) or not all(map(_is_number, probs_raw)):
                 raise ModelFormatError(_row_error(where, key_text, probs_raw))
             rows[key] = tuple(map(float, probs_raw))
         tables[child] = ConditionalTable(child, parents, rows)
 
     return NetworkSpec(name, time_unit, tuple(nodes), tuple(edges), tables)
+
+
+def _canonical_keys(
+    by_id: dict[str, NodeSpec], parents: tuple[str, ...], rows_raw: dict
+) -> Optional[list[tuple[NodeState, ...]]]:
+    """The row keys of a table written as `save_network` writes it: one row
+    per parent-state tuple, in enumeration order, with canonical labels.
+    None for any other table, which is then parsed row by row.
+
+    The row count is checked before any product is formed, so a short table
+    with a huge parent product costs nothing here.
+    """
+    nodes = [by_id.get(p) for p in parents]
+    if any(n is None or n._row_labels is None for n in nodes):
+        return None
+    labels = [n._row_labels for n in nodes]
+    if math.prod(map(len, labels)) != len(rows_raw):
+        return None
+    texts = map("|".join, itertools.product(*labels))
+    if not all(map(operator.eq, rows_raw, texts)):
+        return None
+    return list(itertools.product(*(state_enumeration(n) for n in nodes)))
 
 
 def _parse_row_key(

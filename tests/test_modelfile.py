@@ -1,9 +1,13 @@
+import itertools
 import json
+import math
 from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
 
+import tnbn.cli
 import tnbn.model
 import tnbn.modelfile
 
@@ -23,6 +27,7 @@ from tnbn import (
     network_to_dict,
     parse_event_log,
     save_network,
+    toposort,
     validate,
 )
 
@@ -54,17 +59,49 @@ def test_random_network_round_trip(tmp_path):
     assert load_network(path) == spec
 
 
+def _rewrite_rows(data, respell=None, reverse=False):
+    """A copy of a network dict whose row keys are respelled part by part,
+    or whose rows are listed in reverse order."""
+    out = json.loads(json.dumps(data))
+    for cpt in out["cpts"].values():
+        items = list(cpt["rows"].items())
+        if reverse:
+            items.reverse()
+        if respell is not None:
+            items = [
+                ("|".join(map(respell, key.split("|"))) if key else key, probs)
+                for key, probs in items
+            ]
+        cpt["rows"] = dict(items)
+    return out
+
+
+def _respell(label):
+    """A non-canonical spelling of a state label that parses to the same
+    state: "x@[0,3]" becomes "x@[0.0, 3]", "x" becomes " x"."""
+    value, sep, bounds = label.partition("@")
+    if not sep:
+        return f" {label}"
+    lo, hi = bounds[1:-1].split(",")
+    return f"{value}@[{float(lo)}, {hi}]"
+
+
+def _row_labels(data):
+    """Every (parent id, label text) named in a row key."""
+    labels = Counter()
+    for cpt in data["cpts"].values():
+        for key_text in cpt["rows"]:
+            if key_text:
+                labels.update(zip(cpt["parents"], key_text.split("|")))
+    return labels
+
+
 def test_load_and_compile_check_each_node_once_and_parse_each_label_once(
     tmp_path, monkeypatch
 ):
     spec = random_network(np.random.default_rng(5), max_nodes=30, edge_share=0.6)
-    path = tmp_path / "net.json"
-    save_network(spec, path)
-    labels = Counter()
-    for cpt in json.loads(path.read_text())["cpts"].values():
-        for key_text in cpt["rows"]:
-            if key_text:
-                labels.update(zip(cpt["parents"], key_text.split("|")))
+    canonical = network_to_dict(spec)
+    labels = _row_labels(canonical)
     assert len(spec.nodes) >= 20 and max(labels.values()) > 10
 
     checks = Counter()
@@ -83,12 +120,179 @@ def test_load_and_compile_check_each_node_once_and_parse_each_label_once(
 
     monkeypatch.setattr(tnbn.model, "_node_violations", counted_violations)
     monkeypatch.setattr(NodeSpec, "parse_state_label", counted_parse)
-    net = compile_network(load_network(path))
+    # a file as save_network writes it parses no label; rows in another order
+    # or spelled otherwise are parsed, each distinct label once
+    reversed_rows = _rewrite_rows(canonical, reverse=True)
+    respelled = _rewrite_rows(canonical, _respell)
+    path = tmp_path / "net.json"
+    for data, parsed in [
+        (canonical, set()),
+        (reversed_rows, set(labels)),
+        (respelled, set(_row_labels(respelled))),
+    ]:
+        path.write_text(json.dumps(data))
+        checks.clear()
+        parses.clear()
+        net = compile_network(load_network(path))
 
-    assert net.spec == spec
-    # once by validate, once when the node's states are first enumerated
-    assert checks == Counter({n.id: 2 for n in spec.nodes})
-    assert parses == Counter(set(labels))
+        assert net.spec == spec
+        # load, validate and enumeration share one check per node
+        assert checks == Counter({n.id: 1 for n in spec.nodes})
+        assert parses == Counter(parsed)
+        # validate and compile share one toposort
+        assert net.topo is toposort(net.spec)
+
+
+def test_a_canonical_load_hashes_each_row_key_component_once(tmp_path, monkeypatch):
+    spec = random_network(np.random.default_rng(11), n_nodes=60, edge_share=0.5)
+    canonical = network_to_dict(spec)
+    components = sum(len(t.parent_order) * len(t.rows) for t in spec.tables.values())
+    assert components > 50 * len(spec.nodes)
+
+    calls = Counter()
+    state_hash, state_eq = NodeState.__hash__, NodeState.__eq__
+
+    def counted_hash(state):
+        calls["hash"] += 1
+        return state_hash(state)
+
+    def counted_eq(state, other):
+        calls["eq"] += 1
+        return state_eq(state, other)
+
+    path = tmp_path / "net.json"
+    nets = {}
+    respelled = _rewrite_rows(canonical, _respell)
+    for name, data in [("canonical", canonical), ("respelled", respelled)]:
+        path.write_text(json.dumps(data))
+        calls.clear()
+        monkeypatch.setattr(NodeState, "__hash__", counted_hash)
+        monkeypatch.setattr(NodeState, "__eq__", counted_eq)
+        nets[name] = compile_network(load_network(path))
+        monkeypatch.undo()
+        # a parsed label yields the node's own state, so row keys compare by
+        # identity; the only value comparison is the parser's lookup
+        assert calls["eq"] <= len(set(_row_labels(data))), name
+        if name == "canonical":
+            # once when the row goes into its table, plus each state's compiled index
+            assert components <= calls["hash"] <= components + 5 * len(spec.nodes)
+            assert calls["eq"] == 0
+
+    for net in nets.values():
+        assert net.spec == spec
+        for table in net.spec.tables.values():
+            for key in table.rows:
+                for pid, state in zip(table.parent_order, key):
+                    assert any(state is s for s in net.states[pid])
+
+
+def _factor_bytes(net):
+    return [(f.scope, f.values.shape, f.values.tobytes()) for f in net.factors]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_row_order_and_label_spelling_give_the_same_network(seed):
+    spec = random_network(
+        np.random.default_rng(seed), n_nodes=25, temporal_share=0.6, edge_share=0.5
+    )
+    canonical = network_to_dict(spec)
+    specs = [
+        network_from_dict(data)
+        for data in (
+            canonical,
+            _rewrite_rows(canonical, reverse=True),
+            _rewrite_rows(canonical, _respell),
+        )
+    ]
+    assert specs[0] == specs[1] == specs[2] == spec
+    nets = [compile_network(s) for s in specs]
+    assert nets[0].topo == nets[1].topo == nets[2].topo == toposort(spec)
+    assert _factor_bytes(nets[0]) == _factor_bytes(nets[1]) == _factor_bytes(nets[2])
+
+
+def _with_rows(spec, child, rows):
+    tables = dict(spec.tables)
+    tables[child] = ConditionalTable(child, spec.tables[child].parent_order, rows)
+    return NetworkSpec(spec.name, spec.time_unit, spec.nodes, spec.edges, tables)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_validate_reports_the_same_problems_whatever_the_row_order(seed):
+    spec = random_network(
+        np.random.default_rng(seed), n_nodes=25, temporal_share=0.6, edge_share=0.5
+    )
+    child = max(spec.tables, key=lambda nid: len(spec.tables[nid].rows))
+    rows = list(spec.tables[child].rows.items())
+    assert len(rows) >= 4
+    (k0, p0), (k1, p1), (k2, p2) = rows[0], rows[1], rows[-1]
+    bogus = (NodeState("bogus"),) * len(k0)
+
+    def missing(r):
+        del r[k1]
+
+    def extra(r):
+        r[bogus] = p0
+        r[k0 + k0[:1]] = p0
+
+    def wrong_length(r):
+        r[k2] = p2 + (0.0,)
+
+    def out_of_range(r):
+        r[k0] = (1.5, -0.5) + (0.0,) * (len(p0) - 2)
+
+    def all_of_them(r):
+        for defect in (missing, extra, wrong_length, out_of_range):
+            defect(r)
+
+    cases = [
+        (missing, ["missing row"]),
+        (extra, ["unexpected row", "unexpected row"]),
+        (wrong_length, [f"has {len(p2) + 1} entries"]),
+        (out_of_range, ["outside [0, 1]"]),
+        (all_of_them, ["missing row", "unexpected row", "unexpected row", "", ""]),
+    ]
+    for defect, expected in cases:
+        in_order = dict(rows)
+        defect(in_order)
+        reversed_rows = dict(reversed(list(in_order.items())))
+        reports = [
+            [str(v) for v in validate(_with_rows(spec, child, r))]
+            for r in (in_order, reversed_rows)
+        ]
+        assert reports[0] == reports[1]
+        assert len(reports[0]) == len(expected)
+        for line, part in zip(reports[0], expected):
+            assert line.startswith(f"cpt {child}: ") and part in line
+
+
+def test_a_short_table_with_a_huge_parent_product_loads_without_enumerating_it(
+    monkeypatch
+):
+    parents = [f"P{i}" for i in range(8)]
+    values = [f"v{k}" for k in range(10)]
+    data = {
+        "name": "wide",
+        "time_unit": "unit",
+        "nodes": [{"id": p, "kind": "instantaneous", "values": values} for p in parents]
+        + [{"id": "X", "kind": "instantaneous", "values": ["a", "b"]}],
+        "edges": [[p, "X"] for p in parents],
+        "cpts": {p: {"parents": [], "rows": {"": [0.1] * 10}} for p in parents},
+    }
+    data["cpts"]["X"] = {
+        "parents": parents,
+        "rows": {"|".join([v] * 8): [0.5, 0.5] for v in values[:3]},
+    }
+
+    product = itertools.product
+
+    def small_product(*pools):
+        pools = [tuple(p) for p in pools]
+        assert math.prod(map(len, pools)) <= 100, "a 10**8 product was enumerated"
+        return product(*pools)
+
+    monkeypatch.setattr(itertools, "product", small_product)
+    spec = network_from_dict(data)
+    assert len(spec.tables["X"].rows) == 3
 
 
 def test_fractional_interval_bounds_round_trip():
@@ -178,6 +382,13 @@ def test_node_shape_errors(accident_spec):
         network_from_dict(data)
     assert str(info.value) == "nodes[4].intervals[0] must be a number, got 'ten'"
 
+    for value in (None, 3, True, "", {}):
+        data = _fixture_dict(accident_spec)
+        data["nodes"][4]["intervals"] = value
+        with pytest.raises(ModelFormatError) as info:
+            network_from_dict(data)
+        assert str(info.value) == "nodes[4].intervals must be a list"
+
 
 def test_edge_and_cpt_shape_errors(accident_spec):
     data = _fixture_dict(accident_spec)
@@ -261,6 +472,59 @@ def test_a_clean_load_formats_no_row_text(monkeypatch):
     spec = random_network(np.random.default_rng(7), n_nodes=30)
     assert network_from_dict(network_to_dict(spec)) == spec
     assert calls == []
+
+
+_MUTATION_MENU = (None, True, 0, 1.5, "x", [], {}, [1], {"a": 1})
+
+
+def _json_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _replaced(data, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(data))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+def test_every_one_field_mutation_of_the_bundled_file_fails_typed(tmp_path, capsys):
+    data = json.loads((resources.files("tnbn") / "data" / "accident.json").read_text())
+    paths = list(_json_paths(data))
+    assert len(paths) > 100
+    path = tmp_path / "net.json"
+    escapes = []
+    for at in paths:
+        for value in _MUTATION_MENU:
+            mutated = _replaced(data, at, value)
+            try:
+                network_from_dict(mutated)
+            except ModelFormatError:
+                pass
+            except Exception as err:
+                escapes.append((at, value, "network_from_dict", repr(err)))
+            path.write_text(json.dumps(mutated))
+            try:
+                code = tnbn.cli.main(["validate", str(path)])
+            except Exception as err:
+                escapes.append((at, value, "validate", repr(err)))
+            else:
+                if code not in (0, 1, 2):
+                    escapes.append((at, value, "validate", code))
+    capsys.readouterr()
+    assert escapes == []
 
 
 def test_semantic_problems_are_left_to_validate(accident_spec):
