@@ -168,22 +168,15 @@ class NodeSpec:
     @cached_property
     def _row_labels(self) -> Optional[tuple[str, ...]]:
         """The state labels in enumeration order, or None unless each one
-        parses back to its own state when it is part of a "|"-joined row key.
-
-        A node free of node violations has non-empty labels without
-        whitespace, "|" or "@" in its values, and interval bounds that
-        `format_time` writes and `float` reads back exactly; distinct
-        intervals make each timed label name its own interval.
-        """
+        parses back to its own state: the node has no violations (so no
+        whitespace, "|" or "@" in a value) and distinct intervals."""
         if self._violations or len(set(self.intervals)) != len(self.intervals):
             return None
         return tuple(self.state_labels())
 
     def parse_state_label(self, text: str) -> NodeState:
-        """Inverse of `state_label`; raises UnknownStateError otherwise.
-
-        The state returned is the node's own object from `state_enumeration`.
-        """
+        """Inverse of `state_label`, giving the node's own enumerated state;
+        raises UnknownStateError otherwise."""
         text = text.strip()
         value, sep, rest = text.partition("@")
         if not sep:
@@ -505,29 +498,21 @@ def _table_violations(spec: NetworkSpec, node: NodeSpec) -> list[Violation]:
     if child_enum is None:
         return out
 
-    rows = table.rows
-    if _keys_in_order(rows, enums):
-        valid = rows.items()
-    else:
-        # out of order: check each key on its own, and walk the product
-        # only when fewer keys are valid than it holds
-        sets = [frozenset(e) for e in enums]
-        valid, unexpected = [], []
-        for key, probs in rows.items():
-            ok = (
-                isinstance(key, tuple)
-                and len(key) == len(sets)
-                and all(s in states for s, states in zip(key, sets))
+    valid = table.rows.items()
+    if not _keys_in_order(table.rows, enums):
+        expected_keys = {()}
+        for penum in enums:
+            expected_keys = {key + (s,) for key in expected_keys for s in penum}
+        seen = set(table.rows.keys())
+        for key in sorted(expected_keys - seen, key=repr):
+            out.append(
+                Violation(subject, f"missing row for parent states {_key_text(spec, table, key)}")
             )
-            (valid if ok else unexpected).append((key, probs))
-        if len(valid) < math.prod(map(len, enums)):
-            missing = [key for key in itertools.product(*enums) if key not in rows]
-            for key in sorted(missing, key=repr):
-                text = _key_text(spec, table, key)
-                out.append(Violation(subject, f"missing row for parent states {text}"))
-        for key, _ in sorted(unexpected, key=lambda kp: repr(kp[0])):
-            text = _key_text(spec, table, key)
-            out.append(Violation(subject, f"unexpected row for parent states {text}"))
+        for key in sorted(seen - expected_keys, key=repr):
+            out.append(
+                Violation(subject, f"unexpected row for parent states {_key_text(spec, table, key)}")
+            )
+        valid = [(key, probs) for key, probs in valid if key in expected_keys]
     bad_rows: list[tuple[tuple[NodeState, ...], str]] = []
     for key, probs in valid:
         if len(probs) != len(child_enum):

@@ -199,13 +199,9 @@ def network_from_dict(data: Any) -> NetworkSpec:
 def _canonical_keys(
     by_id: dict[str, NodeSpec], parents: tuple[str, ...], rows_raw: dict
 ) -> Optional[list[tuple[NodeState, ...]]]:
-    """The row keys of a table written as `save_network` writes it: one row
-    per parent-state tuple, in enumeration order, with canonical labels.
-    None for any other table, which is then parsed row by row.
-
-    The row count is checked before any product is formed, so a short table
-    with a huge parent product costs nothing here.
-    """
+    """The row keys of a table with one row per parent-state tuple, in
+    enumeration order, with canonical labels; None for any other table. The
+    row count is checked first, so a short table never forms the product."""
     nodes = [by_id.get(p) for p in parents]
     if any(n is None or n._row_labels is None for n in nodes):
         return None
