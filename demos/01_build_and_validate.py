@@ -57,8 +57,8 @@ print("\nelapsed time -> interval index:")
 for t in (0, 9.5, 10, 29, 30, 60):
     print(f"   {t:>5} -> {resolve_interval(vs, t)}")
 
-# The full network is bundled; accident_network() builds the same thing a
-# model file would load.
+# The full network is bundled as a model file, which accident_network()
+# loads from the package.
 spec = accident_network()
 print("\nbundled network:", spec.name)
 print("  nodes:", ", ".join(spec.node_ids()))

@@ -10,8 +10,15 @@ and anything that cannot be resolved yet is carried as weighted scenarios.
 """
 
 from tnbn import ObservedEvent, accident_network, compile_network, open_session
+from tnbn.model import format_time
 
 net = compile_network(accident_network())
+
+
+def window_text(window):
+    """Show a window as (lo, hi), whole numbers without a trailing .0."""
+    return f"({format_time(window[0])}, {format_time(window[1])})"
+
 
 # --- the easy case: the cause is reported first -----------------------------
 
@@ -22,7 +29,7 @@ s = s.observe(ObservedEvent("VS", "unstable", tc=115))
 print("anchor:", s.anchor)
 r = s.resolved["VS"]
 print("VS resolved to:", net.spec.node("VS").state_label(r.state))
-print("  absolute window:", r.window)
+print("  absolute window:", window_text(r.window))
 
 # Forecasts for everything unobserved; temporal states come with the
 # absolute window the anchor implies.
@@ -30,7 +37,7 @@ print("\nforecasts given the two reports:")
 for nid, forecast in s.predict().forecasts.items():
     for state, p in forecast.distribution.items():
         window = forecast.window_for(state)
-        tail = f"  expected in {window}" if window else ""
+        tail = f"  expected in {window_text(window)}" if window else ""
         print(f"  P({nid}={net.spec.node(nid).state_label(state)}) = {p:.4f}{tail}")
 
 # --- a symptom arrives first: scenarios -------------------------------------
@@ -57,7 +64,7 @@ s = s.observe(ObservedEvent("C", "severe", tc=100))
 print("\nafter the late accident report:")
 print("  pending:", list(s.pending))
 print("  VS:", net.spec.node("VS").state_label(s.resolved["VS"].state),
-      "window", s.resolved["VS"].window)
+      "window", window_text(s.resolved["VS"].window))
 
 # --- reports that do not fit ------------------------------------------------
 

@@ -8,6 +8,7 @@ impossible evidence), 2 for files or arguments that cannot be read at all.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -129,6 +130,8 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     net = compile_network(load_network(args.model))
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
     spec = net.spec
     lines: list[str] = []
     for t in range(args.trials):
@@ -161,6 +164,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tnbn",

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import operator
+from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -265,6 +266,12 @@ def load_network(path: Union[str, Path]) -> NetworkSpec:
         return network_from_dict(data)
     except ModelFormatError as err:
         raise ModelFormatError(f"{path}: {err}") from None
+
+
+def accident_network() -> NetworkSpec:
+    """Load the bundled five-node accident network (data/accident.json)."""
+    text = (resources.files("tnbn") / "data" / "accident.json").read_text()
+    return network_from_dict(json.loads(text))
 
 
 def parse_event_log(text: str) -> list[ObservedEvent]:

@@ -12,7 +12,13 @@ import pytest
 import tnbn
 import tnbn.cli
 import tnbn.session
-from tnbn import accident_network, save_network
+from tnbn import (
+    ModelFormatError,
+    accident_network,
+    load_network,
+    parse_event_log,
+    save_network,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,10 +32,13 @@ def run_cli(*args):
     )
 
 
-def test_bundled_model_matches_the_library_fixture(model_path):
-    from tnbn import load_network
-
-    assert load_network(model_path) == accident_network()
+def test_accident_network_loads_the_packaged_file_from_any_directory(
+    model_path, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    first, second = accident_network(), accident_network()
+    assert first == load_network(model_path)
+    assert first == second and first is not second
 
 
 def test_validate_ok(model_path):
@@ -111,6 +120,16 @@ def test_infer_impossible_evidence_exits_1(model_path):
     )
     assert result.returncode == 1
     assert "probability zero" in result.stderr
+
+
+def test_successive_infer_calls_do_not_share_evidence(model_path, capsys):
+    # the parser is built once, and --evidence appends to a list default
+    assert tnbn.cli._build_parser() is tnbn.cli._build_parser()
+    for _ in range(2):
+        assert tnbn.cli.main(["infer", model_path, "-q", "C", "-e", "HI=true"]) == 0
+        assert capsys.readouterr().out.startswith("P(C | HI=true)\n")
+    assert tnbn.cli.main(["infer", model_path, "-q", "C"]) == 0
+    assert capsys.readouterr().out.startswith("P(C)\n")
 
 
 def test_missing_file_exits_2():
@@ -259,6 +278,87 @@ def test_session_non_finite_timestamp_exits_2(model_path, tmp_path):
     assert "line 1" in result.stderr and "not finite" in result.stderr
 
 
+# each is put in place of one field: empty, not finite, an unknown node or
+# state, and a timed label with bounds that are not numbers
+_FIELD_MENU = ("", "nan", "inf", "-inf", "ZZ", "maybe", "a@[x,y]")
+
+
+def _field_mutations(fields):
+    """Each field replaced by each menu value, each field dropped, one added."""
+    for i in range(len(fields)):
+        for value in _FIELD_MENU:
+            yield fields[:i] + [value] + fields[i + 1 :]
+        yield fields[:i] + fields[i + 1 :]
+    yield fields + ["x"]
+
+
+def _log_texts():
+    lines = [["100", "C", "severe"], ["115", "VS", "unstable"], ["103", "PD", "normal"]]
+    for i, line in enumerate(lines):
+        for mutated in _field_mutations(line):
+            for sep in (" ", "\t"):
+                rows = [" ".join(other) for other in lines]
+                rows[i] = sep.join(mutated)
+                yield "\n".join(rows) + "\n"
+
+
+def _evidence_texts():
+    # node, value and, for a timed state, the interval's two bounds
+    for node, value, bounds in (
+        ("HI", "true", None),
+        ("VS", "unstable", ["10", "30"]),
+        ("PD", "dilated", ["0", "3"]),
+    ):
+        fields = [node, value] + (bounds or [])
+        for mutated in _field_mutations(fields):
+            head, tail = mutated[:2], mutated[2:]
+            label = "=".join(head)
+            yield label + (f"@[{','.join(tail)}]" if tail else "")
+
+
+def test_every_malformed_log_line_fails_typed(model_path, tmp_path, capsys):
+    texts = sorted(set(_log_texts()))
+    assert len(texts) > 100
+    path = tmp_path / "intake.log"
+    escapes = []
+    for text in texts:
+        try:
+            parse_event_log(text)
+        except ModelFormatError:
+            pass
+        except Exception as err:
+            escapes.append((text, "parse_event_log", repr(err)))
+        path.write_text(text)
+        for extra in ([], ["--diagnose"]):
+            try:
+                code = tnbn.cli.main(["session", model_path, str(path), *extra])
+            except Exception as err:
+                escapes.append((text, extra, repr(err)))
+            else:
+                if code not in (0, 1, 2):
+                    escapes.append((text, extra, code))
+    capsys.readouterr()
+    assert escapes == []
+
+
+def test_every_malformed_evidence_text_fails_typed(model_path, capsys):
+    texts = sorted(set(_evidence_texts()))
+    assert len(texts) > 80
+    escapes = []
+    for text in texts:
+        for query in ("C", "VS"):
+            argv = ["infer", model_path, "-q", query, f"--evidence={text}"]
+            try:
+                code = tnbn.cli.main(argv)
+            except Exception as err:
+                escapes.append((text, query, repr(err)))
+            else:
+                if code not in (0, 1, 2):
+                    escapes.append((text, query, code))
+    capsys.readouterr()
+    assert escapes == []
+
+
 def test_simulate_deterministic_output(model_path):
     first = run_cli("simulate", model_path, "-n", "2", "-s", "5")
     second = run_cli("simulate", model_path, "-n", "2", "-s", "5")
@@ -275,6 +375,14 @@ def test_simulate_writes_a_file(model_path, tmp_path):
     assert result.returncode == 0
     assert "wrote 3 trajectories" in result.stdout
     assert out.read_text().count("# trajectory") == 3
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_simulate_without_trials_exits_1(model_path, capsys, trials):
+    assert tnbn.cli.main(["simulate", model_path, "-n", trials]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "trials must be at least 1" in err
 
 
 def test_evaluate_table(model_path):
