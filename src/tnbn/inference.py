@@ -5,9 +5,11 @@ Every query is first pruned to its targets, its evidence and their
 ancestors (every other node is barren and sums out to one), and the
 remaining CPT factors are reduced by the evidence. `_propagate` then makes
 one forward pass of bucket elimination along the min-degree order (Dechter
-1996) and, for more than one target, one backward pass of Shafer-Shenoy
-messages over the resulting bucket tree (Shafer & Shenoy 1990). Together
-they give every target's marginal and log P(evidence). Each forward message
+1996), in which the first target is summed out last, as an ordinary bucket,
+and, for more than one target, one backward pass of Shafer-Shenoy messages
+over the resulting bucket tree (Shafer & Shenoy 1990). Both passes multiply
+and sum factors through one helper, `_contract`. Together they give every
+target's marginal and log P(evidence). Each forward message
 is divided by its sum and the log of that sum is carried instead, so
 evidence whose probability lies far below the smallest float still yields
 posteriors and a finite `log_evidence_probability`. `posterior`,
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -89,28 +91,6 @@ class Factor:
 
     scope: tuple[int, ...]
     values: np.ndarray
-
-
-def _expand(f: Factor, scope: tuple[int, ...]) -> np.ndarray:
-    # f.scope is a sorted subsequence of scope, so inserting singleton axes
-    # at the missing positions is a plain reshape.
-    if f.scope == scope:
-        return f.values
-    shape = [1] * len(scope)
-    for ax, idx in enumerate(scope):
-        if idx in f.scope:
-            shape[ax] = f.values.shape[f.scope.index(idx)]
-    return f.values.reshape(shape)
-
-
-def _multiply(a: Factor, b: Factor) -> Factor:
-    scope = tuple(sorted(set(a.scope) | set(b.scope)))
-    return Factor(scope, _expand(a, scope) * _expand(b, scope))
-
-
-def _sum_out(f: Factor, idx: int) -> Factor:
-    ax = f.scope.index(idx)
-    return Factor(f.scope[:ax] + f.scope[ax + 1:], f.values.sum(axis=ax))
 
 
 def _reduce(f: Factor, idx: int, state_pos: int) -> Factor:
@@ -197,14 +177,21 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
     return CompiledNetwork(spec, order, ids, states, index, pos, tuple(factors))
 
 
+def _is_state_set(nid: str, ev: object) -> bool:
+    """Whether the evidence value `ev` on `nid` is a collection of states
+    ("one of these") rather than one NodeState; TypeError if it is neither."""
+    many = isinstance(ev, Collection) and not isinstance(ev, str)
+    if not (isinstance(ev, NodeState) or many and all(isinstance(s, NodeState) for s in ev)):
+        raise TypeError(
+            f"evidence on node {nid!r} must be a NodeState or a collection of them, got {ev!r}"
+        )
+    return many
+
+
 def _evidence_positions(net: CompiledNetwork, evidence: Optional[Evidence]) -> _Positions:
     out = {}
     for nid, ev in dict(evidence or {}).items():
-        many = isinstance(ev, Collection) and not isinstance(ev, str)
-        if not (isinstance(ev, NodeState) or many and all(isinstance(s, NodeState) for s in ev)):
-            raise TypeError(
-                f"evidence on node {nid!r} must be a NodeState or a collection of them, got {ev!r}"
-            )
+        many = _is_state_set(nid, ev)
         net.index(nid)  # raises UnknownNodeError, even for an empty collection
         out[nid] = tuple(net.state_index(nid, s) for s in ev) if many else net.state_index(nid, ev)
     return out
@@ -243,23 +230,40 @@ def _reduced_factors(
 @dataclass(eq=False)
 class _Bucket:
     """One variable summed out in the forward pass: the factors that held it,
-    their product, the message it sent (None for a scalar, which only
-    scales P(e)) and the bucket that received that message (None for a
-    tree's top)."""
+    their product (kept only for a free target), the message it sent (None
+    for a scalar, which only scales P(e)) and the bucket that received that
+    message (None for a tree's top)."""
 
     var: int
     factors: list[Factor]
-    product: Factor
+    product: Optional[Factor]
     message: Optional[Factor]
     parent: Optional[int] = None
 
 
-def _project(f: Factor, keep: Collection[int]) -> Factor:
-    """Sum out every axis of `f` whose node is not in `keep`."""
-    gone = tuple(ax for ax, i in enumerate(f.scope) if i not in keep)
+def _contract(factors: list[Factor], keep: Optional[Collection[int]] = None) -> Factor:
+    """The product of `factors`, each reshaped once onto the sorted union of
+    their scopes and multiplied left to right, with every axis whose node is
+    not in `keep` summed out (none when `keep` is None)."""
+    if len(factors) == 1:
+        scope, values = factors[0].scope, factors[0].values
+    else:
+        scope = tuple(sorted(set().union(*[f.scope for f in factors])))
+        values = None
+        for f in factors:
+            part = f.values
+            if f.scope != scope:
+                # f.scope is a sorted subsequence of scope, so a singleton
+                # axis at every missing position is a plain reshape
+                shape = [part.shape[f.scope.index(i)] if i in f.scope else 1 for i in scope]
+                part = part.reshape(shape)
+            values = part if values is None else values * part
+    if keep is None:
+        return Factor(scope, values)
+    gone = tuple([ax for ax, i in enumerate(scope) if i not in keep])
     if not gone:
-        return f
-    return Factor(tuple(i for i in f.scope if i in keep), f.values.sum(axis=gone))
+        return Factor(scope, values)
+    return Factor(tuple([i for i in scope if i in keep]), values.sum(axis=gone))
 
 
 def _propagate(
@@ -269,17 +273,18 @@ def _propagate(
     from one forward and one backward pass over the bucket tree of `factors`
     (Dechter 1996; Shafer & Shenoy 1990).
 
-    Forward: every variable but `free[0]` is summed out, smallest
-    factor-graph degree first; ties go to the lowest node index. Each message
-    is divided by its sum, and the log of that sum, like the log of every
-    scalar factor, is added to log P(e), so no running product underflows.
-    Raises FactorSizeError before building a product larger than
-    FACTOR_SIZE_LIMIT cells. What is left is over `free[0]` alone: its
-    marginal and the last normaliser. Backward, only with more than one free
-    target: each bucket on a path to a target's bucket receives the product
-    of its parent's other factors and incoming message, summed onto the scope
-    of the message it sent up (no division), and its target's marginal is
-    read off its belief. Returns (-inf, {}) as soon as P(e) is found to be 0.
+    Forward: every variable is summed out, smallest factor-graph degree
+    first, ties to the lowest node index, and `free[0]` last, as an ordinary
+    bucket. Each message is divided by its sum, and the log of that sum,
+    like the log of every scalar factor, is added to log P(e), so no running
+    product underflows. Raises FactorSizeError before building a product
+    larger than FACTOR_SIZE_LIMIT cells. The last bucket's product, over
+    `free[0]` alone, divided by its sum is that target's marginal. Backward,
+    only with more than one free target: each bucket on a path to a target's
+    bucket receives the product of its parent's other factors and incoming
+    message, summed onto the scope of the message it sent up (no division),
+    and its target's marginal is read off its belief. Returns (-inf, {}) as
+    soon as P(e) is found to be 0.
     """
     log_z = 0.0
     pool = []
@@ -290,15 +295,15 @@ def _propagate(
             log_z += math.log(f.values)
         else:
             return -math.inf, {}
-    keep = set(free[:1])
+    targets = set(free)
     track = len(free) > 1
     buckets: list[_Bucket] = []
     sender: dict[int, int] = {}  # id of a message still in the pool -> its bucket
-    while True:
+    while pool:
         scopes = [f.scope for f in pool]
-        candidates = set().union(*scopes) - keep
-        if not candidates:
-            break
+        candidates = set().union(*scopes)
+        if free and len(candidates) > 1:
+            candidates.discard(free[0])
         best: Optional[tuple[int, int, set[int]]] = None
         for v in sorted(candidates):
             neighbors: set[int] = set()
@@ -314,8 +319,8 @@ def _propagate(
             raise FactorSizeError(net.node_ids[v], len(neighbors) + 1, cells, FACTOR_SIZE_LIMIT)
         touching = [f for f in pool if v in f.scope]
         pool = [f for f in pool if v not in f.scope]
-        product = reduce(_multiply, touching)
-        message = _sum_out(product, v)
+        product = _contract(touching) if v in targets else None
+        message = _contract(touching if product is None else [product], neighbors)
         total = float(message.values.sum())
         if not total > 0.0:
             return -math.inf, {}
@@ -336,20 +341,11 @@ def _propagate(
             buckets.append(_Bucket(v, touching, product, message))
     if not free:
         return log_z, {}
-
-    root = reduce(_multiply, pool)
-    total = float(root.values.sum())
-    if not total > 0.0:
-        return -math.inf, {}
-    log_z += math.log(total)
-    out = {free[0]: root.values / total}
+    # the last bucket was free[0]'s, and its product is over free[0] alone
+    out = {free[0]: product.values / total}
     if not track:
         return log_z, out
 
-    for f in pool:
-        if id(f) in sender:
-            buckets[sender[id(f)]].parent = len(buckets)
-    buckets.append(_Bucket(free[0], pool, root, None))
     at = {b.var: k for k, b in enumerate(buckets)}
     on_path: set[int] = set()
     for t in free[1:]:
@@ -371,15 +367,15 @@ def _propagate(
         if down[b.parent] is not None:
             parts.append(down[b.parent])
         if parts:
-            incoming = _project(reduce(_multiply, parts), b.message.scope)
+            incoming = _contract(parts, b.message.scope)
             if incoming.scope:
                 down[k] = Factor(incoming.scope, incoming.values / incoming.values.sum())
     for t in free[1:]:
         k = at[t]
-        belief = buckets[k].product
+        parts = [buckets[k].product]
         if down[k] is not None:
-            belief = _multiply(belief, down[k])
-        marginal = _project(belief, (t,)).values
+            parts.append(down[k])
+        marginal = _contract(parts, (t,)).values
         out[t] = marginal / marginal.sum()
     return log_z, out
 
@@ -484,6 +480,8 @@ class JointTable:
 def joint_enumerate(spec: NetworkSpec, evidence: Optional[Evidence] = None) -> JointTable:
     """Brute-force oracle: enumerate the joint probability of every complete
     state assignment, optionally zeroing assignments that contradict evidence.
+    An evidence value is a NodeState or a collection of them, as for
+    `posterior`; anything else raises TypeError.
 
     Kept deliberately independent of the factor code above. Refuses joints
     larger than JOINT_SIZE_LIMIT cells.
@@ -515,16 +513,17 @@ def joint_enumerate(spec: NetworkSpec, evidence: Optional[Evidence] = None) -> J
             shape[a] = cards[a]
         joint = joint * np.transpose(block, np.argsort(axes)).reshape(shape)
     if evidence:
-        for nid, st in dict(evidence).items():
+        for nid, ev in dict(evidence).items():
+            states = ev if _is_state_set(nid, ev) else (ev,)
             spec.node(nid)  # raises UnknownNodeError
             ax = ids.index(nid)
-            try:
-                keep = enums[ax].index(st)
-            except ValueError:
-                raise UnknownStateError(
-                    nid, _state_text(st), spec.node(nid).state_labels()
-                ) from None
             mask = np.zeros(cards[ax])
-            mask[keep] = 1.0
+            for st in states:
+                try:
+                    mask[enums[ax].index(st)] = 1.0
+                except ValueError:
+                    raise UnknownStateError(
+                        nid, _state_text(st), spec.node(nid).state_labels()
+                    ) from None
             joint = joint * mask.reshape([c if i == ax else 1 for i, c in enumerate(cards)])
     return JointTable(ids, enums, joint)

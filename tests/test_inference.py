@@ -308,6 +308,36 @@ def test_joint_validates_inputs(accident_spec):
         joint_enumerate(accident_spec, {"C": NodeState("terrible")})
 
 
+@pytest.mark.parametrize(
+    "bad", ["severe", "", 3, None, [NodeState("severe"), "mild"], {"severe": 1}]
+)
+def test_joint_rejects_malformed_evidence_values(accident_spec, bad):
+    with pytest.raises(TypeError) as info:
+        joint_enumerate(accident_spec, {"C": bad})
+    assert str(info.value).startswith("evidence on node 'C' must be a NodeState")
+
+
+def test_joint_reads_a_collection_as_one_of_its_states(accident_spec):
+    dilated = [NodeState("dilated", 0), NodeState("dilated", 1)]
+    cases = [(accident_spec, {"C": NodeState("severe")}, "PD", dilated)]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        spec = random_network(rng)
+        evidence = random_evidence(rng, spec)
+        held = spec.nodes[int(rng.integers(len(spec.nodes)))].id
+        evidence.pop(held, None)
+        states = compile_network(spec).states[held]
+        size = int(rng.integers(1, len(states) + 1))
+        subset = [states[int(i)] for i in rng.permutation(len(states))[:size]]
+        cases.append((spec, evidence, held, subset))
+    for spec, evidence, held, subset in cases:
+        # the one-state joints have disjoint support, so their sum is exact
+        want = sum(joint_enumerate(spec, {**evidence, held: s}).values for s in subset)
+        for value in (subset, set(subset), tuple(subset)):
+            assert np.array_equal(joint_enumerate(spec, {**evidence, held: value}).values, want)
+        assert joint_enumerate(spec, {held: []}).total() == 0.0
+
+
 # --- elimination vs enumeration on random networks --------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -338,18 +368,23 @@ def test_evidence_probability_matches_enumeration(seed):
 
 # --- pruning to the ancestral set --------------------------------------------
 
-def count_factor_ops(monkeypatch):
-    counts = {"sum_out": 0, "multiply": 0}
+def record_contractions(monkeypatch):
+    """Every `_contract` call, in call order, as the set of node axes it
+    summed out (empty for a plain product)."""
+    calls = []
+    contract = tnbn.inference._contract
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
+    def wrapper(factors, keep=None):
+        out = contract(factors, keep)
+        calls.append(set().union(*(f.scope for f in factors)) - set(out.scope))
+        return out
 
-    monkeypatch.setattr(tnbn.inference, "_sum_out", counted("sum_out", tnbn.inference._sum_out))
-    monkeypatch.setattr(tnbn.inference, "_multiply", counted("multiply", tnbn.inference._multiply))
-    return counts
+    monkeypatch.setattr(tnbn.inference, "_contract", wrapper)
+    return calls
+
+
+def sum_outs(calls):
+    return [summed for summed in calls if summed]
 
 
 def ancestral_set(spec, nodes):
@@ -357,26 +392,26 @@ def ancestral_set(spec, nodes):
 
 
 def test_queries_eliminate_only_their_ancestral_set(monkeypatch):
-    counts = count_factor_ops(monkeypatch)
+    calls = record_contractions(monkeypatch)
     for seed in range(30):
         rng = np.random.default_rng(seed)
         spec = random_network(rng, max_nodes=12)
         net = compile_network(spec)
-        # N0 is always a root: its prior needs no elimination at all
-        counts["sum_out"] = 0
+        # N0 is always a root: its prior sums out N0 alone, as the last bucket
+        calls.clear()
         posterior(net, "N0")
-        assert counts["sum_out"] == 0
+        assert len(sum_outs(calls)) == 1
         evidence = random_evidence(rng, spec, max_nodes=3)
         for nid in net.node_ids:
             if nid in evidence:
                 continue
-            counts["sum_out"] = 0
+            calls.clear()
             posterior(net, nid, evidence)
             kept = ancestral_set(spec, {nid, *evidence})
-            assert counts["sum_out"] == len(kept) - 1 - len(evidence)
-        counts["sum_out"] = 0
+            assert len(sum_outs(calls)) == len(kept) - len(evidence)
+        calls.clear()
         evidence_probability(net, evidence)
-        assert counts["sum_out"] == len(ancestral_set(spec, evidence)) - len(evidence)
+        assert len(sum_outs(calls)) == len(ancestral_set(spec, evidence)) - len(evidence)
 
 
 def descendants(spec, node_id):
@@ -455,19 +490,82 @@ def test_set_valued_evidence_matches_enumeration(seed):
 
 
 def test_marginals_eliminate_from_the_ancestral_set_of_all_targets(monkeypatch):
-    counts = count_factor_ops(monkeypatch)
+    calls = record_contractions(monkeypatch)
     for seed in range(30):
         rng = np.random.default_rng(seed)
         spec = random_network(rng, max_nodes=12)
         net = compile_network(spec)
         evidence = random_evidence(rng, spec, max_nodes=3)
         targets = [nid for nid in net.node_ids if nid not in evidence and rng.random() < 0.5]
-        counts["sum_out"] = 0
+        calls.clear()
         marginals(net, targets, evidence)
         kept = ancestral_set(spec, {*targets, *evidence})
-        # one forward pass sums out every kept variable but the first target,
-        # however many targets there are; the backward pass sums out none
-        assert counts["sum_out"] == (len(kept) - 1 - len(evidence) if targets else 0)
+        unobserved = {net.index(nid) for nid in kept - set(evidence)}
+        # one forward pass sums out every kept unobserved variable once, the
+        # first target last, however many targets there are; the backward
+        # pass runs after it and only for more than one target
+        summed = sum_outs(calls)
+        if not targets:
+            assert summed == []
+            continue
+        forward = summed[: len(unobserved)]
+        assert len(forward) == len(unobserved) and all(len(s) == 1 for s in forward)
+        assert set().union(*forward) == unobserved
+        assert forward[-1] == {net.index(targets[0])}
+        if len(targets) == 1:
+            assert summed == forward
+
+
+def reference_order(spec, net, targets, evidence):
+    """The forward elimination order by a plain rescan of the current
+    scopes: the kept CPTs less the evidence axes; each step takes the
+    variable with the fewest neighbours, the lowest index on ties, and the
+    first target only when nothing else is left."""
+    observed = {net.index(nid) for nid in evidence}
+    scopes = []
+    for nid in ancestral_set(spec, {*targets, *evidence}):
+        scope = {net.index(nid), *(net.index(p) for p in spec.parents(nid))} - observed
+        if scope:
+            scopes.append(scope)
+    first = net.index(targets[0]) if targets else None
+    order = []
+    while scopes:
+        candidates = set().union(*scopes)
+        if len(candidates) > 1:
+            candidates.discard(first)
+
+        def degree(v):
+            return len(set().union(*(s for s in scopes if v in s)) - {v})
+
+        v = min(sorted(candidates), key=degree)
+        rest = set().union(*(s for s in scopes if v in s)) - {v}
+        scopes = [s for s in scopes if v not in s] + ([rest] if rest else [])
+        order.append(v)
+    return order
+
+
+def test_elimination_follows_min_degree_with_the_first_target_last(monkeypatch):
+    calls = record_contractions(monkeypatch)
+    for seed in range(30):
+        rng = np.random.default_rng(500 + seed)
+        spec = random_network(rng, max_nodes=12)
+        net = compile_network(spec)
+        evidence = random_evidence(rng, spec, max_nodes=3)
+        free = [nid for nid in net.node_ids if nid not in evidence]
+        targets = [free[int(i)] for i in rng.permutation(len(free)) if rng.random() < 0.5]
+        queries = [([], lambda: log_evidence_probability(net, evidence))]
+        if targets:
+            queries.append((targets, lambda: marginals(net, targets, evidence)))
+        for wanted, query in queries:
+            calls.clear()
+            query()
+            want = [{v} for v in reference_order(spec, net, wanted, evidence)]
+            # the forward steps come first, one variable each; only more than
+            # one target adds a backward pass after them
+            summed = sum_outs(calls)
+            assert summed[: len(want)] == want
+            if len(wanted) <= 1:
+                assert summed == want
 
 
 def test_marginals_errors_and_point_masses(accident_net):
@@ -483,7 +581,7 @@ def test_marginals_errors_and_point_masses(accident_net):
 
 
 def test_factor_size_guard_trips_before_any_product(accident_net, monkeypatch):
-    counts = count_factor_ops(monkeypatch)
+    calls = record_contractions(monkeypatch)
     # VS's ancestral set is C, HI, IB, VS; min-degree elimination takes C
     # first, building a factor over C, HI and IB: 3 * 2 * 3 = 18 cells
     monkeypatch.setattr(tnbn.inference, "FACTOR_SIZE_LIMIT", 17)
@@ -493,7 +591,7 @@ def test_factor_size_guard_trips_before_any_product(accident_net, monkeypatch):
     assert str(info.value) == (
         "eliminating node 'C' would build a factor over 3 nodes with 18 cells (limit 17)"
     )
-    assert counts == {"sum_out": 0, "multiply": 0}
+    assert calls == []
     # the root C's prior never touches its barren descendants, so it answers
     assert posterior(accident_net, "C").p(NodeState("severe")) == pytest.approx(0.368, abs=TOL)
     # the largest factor is the next step's, over HI, IB and VS: 2 * 3 * 4
