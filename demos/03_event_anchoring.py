@@ -48,7 +48,7 @@ for nid, forecast in s.predict().forecasts.items():
 s = open_session(net).observe(ObservedEvent("VS", "unstable", tc=115))
 print("\npending:", [e.node for e in s.pending])
 for sc in s.scenarios():
-    label = net.spec.node("VS").state_label(sc.assignment["VS"])
+    label = net.spec.node("VS").state_label(sc.state)
     print(f"  weight {sc.weight:.4f}: {label}")
 
 # Forecasts condition on the value alone (VS is in one of its unstable

@@ -91,16 +91,12 @@ def _print_session(spec: NetworkSpec, session: Session) -> None:
             line += f", window {_window_text(r.window)}"
         print(line)
     if session.pending:
+        node = spec.node(anchor.node)
         print("pending:")
-        for e in session.pending:
-            print(f"  {e.node} = {e.value} at {format_time(e.tc)}, interval unknown")
+        print(f"  {anchor.node} = {anchor.value} at {format_time(anchor.tc)}, interval unknown")
         print("scenarios:")
         for s in session.scenarios():
-            parts = ", ".join(
-                f"{nid}={spec.node(nid).state_label(st)}"
-                for nid, st in s.assignment.items()
-            )
-            print(f"  {s.weight:.4f}  {parts}")
+            print(f"  {s.weight:.4f}  {anchor.node}={node.state_label(s.state)}")
     if session.inconsistent:
         print("inconsistent:")
         for e, reason in session.inconsistent:

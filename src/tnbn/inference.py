@@ -230,15 +230,13 @@ def _reduced_factors(
 @dataclass(eq=False)
 class _Bucket:
     """One variable summed out in the forward pass: the factors that held it,
-    their product (kept only for a free target), the message it sent (None
-    for a scalar, which only scales P(e)) and the bucket that received that
-    message (None for a tree's top)."""
+    their product (kept only for a free target) and the message it sent (None
+    for a scalar, which only scales P(e))."""
 
     var: int
     factors: list[Factor]
     product: Optional[Factor]
     message: Optional[Factor]
-    parent: Optional[int] = None
 
 
 def _contract(factors: list[Factor], keep: Optional[Collection[int]] = None) -> Factor:
@@ -298,7 +296,6 @@ def _propagate(
     targets = set(free)
     track = len(free) > 1
     buckets: list[_Bucket] = []
-    sender: dict[int, int] = {}  # id of a message still in the pool -> its bucket
     while pool:
         scopes = [f.scope for f in pool]
         candidates = set().union(*scopes)
@@ -332,12 +329,6 @@ def _propagate(
         else:
             message = None
         if track:
-            k = len(buckets)
-            for f in touching:
-                if id(f) in sender:
-                    buckets[sender.pop(id(f))].parent = k
-            if message is not None:
-                sender[id(message)] = k
             buckets.append(_Bucket(v, touching, product, message))
     if not free:
         return log_z, {}
@@ -347,25 +338,30 @@ def _propagate(
         return log_z, out
 
     at = {b.var: k for k, b in enumerate(buckets)}
+    # a message goes to the bucket of the first of its variables to be
+    # summed out; a bucket that sent none is a tree's top
+    parent = [
+        None if b.message is None else min(at[i] for i in b.message.scope) for b in buckets
+    ]
     on_path: set[int] = set()
     for t in free[1:]:
         k = at[t]
         while k is not None and k not in on_path:
             on_path.add(k)
-            k = buckets[k].parent
+            k = parent[k]
     # the message each bucket on a path receives from its parent (None when
     # it is constant); a parent is created after its children, so this
     # visits it first. Each product is rebuilt from the parent's other
     # factors rather than kept, so no more than one is alive at a time.
     down: dict[int, Optional[Factor]] = {}
     for k in sorted(on_path, reverse=True):
-        b = buckets[k]
+        b, up = buckets[k], parent[k]
         down[k] = None
-        if b.parent is None:
+        if up is None:
             continue
-        parts = [f for f in buckets[b.parent].factors if f is not b.message]
-        if down[b.parent] is not None:
-            parts.append(down[b.parent])
+        parts = [f for f in buckets[up].factors if f is not b.message]
+        if down[up] is not None:
+            parts.append(down[up])
         if parts:
             incoming = _contract(parts, b.message.scope)
             if incoming.scope:

@@ -425,7 +425,9 @@ def _node_violations(node: NodeSpec) -> list[Violation]:
 
 
 def _interval_chain_violations(node: NodeSpec) -> list[Violation]:
-    """Layout checks: intervals sorted, tiling the range, chained by meets."""
+    """Layout checks: intervals sorted, chained by meets (so they tile the
+    covered range, which then relates to them as si, di, ..., di, fi), and
+    ending at finite times."""
     out: list[Violation] = []
     subject = f"node {node.id}"
     ivs = node.intervals
@@ -435,31 +437,19 @@ def _interval_chain_violations(node: NodeSpec) -> list[Violation]:
         return out  # already reported; relations would be nonsense
     if any(a.lo >= b.lo for a, b in zip(ivs, ivs[1:])):
         out.append(Violation(subject, "intervals are not sorted by start time"))
-    layout = interval_layout(node)
-    for i, rel in enumerate(layout.adjacent_relations):
+    for a, b in zip(ivs, ivs[1:]):
+        rel = allen_relation(a, b)
         if rel is not AllenRelation.M:
             out.append(
                 Violation(
                     subject,
-                    f"intervals {ivs[i]} and {ivs[i + 1]} must meet exactly "
+                    f"intervals {a} and {b} must meet exactly "
                     f"(got relation {rel.value}); gaps and overlaps are not allowed",
                 )
             )
-    if len(ivs) >= 2 and not out:
-        expected = (
-            [AllenRelation.SI]
-            + [AllenRelation.DI] * (len(ivs) - 2)
-            + [AllenRelation.FI]
-        )
-        for i, (got, want) in enumerate(zip(layout.range_relations, expected)):
-            if got is not want:
-                out.append(
-                    Violation(
-                        subject,
-                        f"covered range relates to interval {ivs[i]} as "
-                        f"{got.value}, expected {want.value}",
-                    )
-                )
+    for iv in ivs:
+        if not math.isfinite(iv.hi):
+            out.append(Violation(subject, f"interval {iv} does not end at a finite time"))
     return out
 
 

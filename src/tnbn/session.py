@@ -63,9 +63,9 @@ def _absolute_window(iv: TimeInterval, reference_tc: float, event_tc: float) -> 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One way of resolving the pending observation, with its weight."""
+    """One state of the held report's node, with its weight."""
 
-    assignment: Mapping[str, NodeState]
+    state: NodeState
     weight: float
 
 
@@ -93,21 +93,32 @@ class PredictionReport:
 
 @dataclass(frozen=True)
 class Session:
-    """An immutable record of the events observed so far and their status."""
+    """An immutable record of the events observed so far and their status.
+
+    Every observed node is in exactly one of `resolved`, `pending` and
+    `inconsistent`; `anchor` and `pending` are derived from the events and
+    their resolutions.
+    """
 
     net: CompiledNetwork
     events: tuple[ObservedEvent, ...] = ()
-    anchor: Optional[ObservedEvent] = None
     resolved: Mapping[str, ResolvedObservation] = field(default_factory=dict)
-    pending: tuple[ObservedEvent, ...] = ()
     inconsistent: tuple[tuple[ObservedEvent, str], ...] = ()
 
     @property
-    def observed_nodes(self) -> set[str]:
-        nodes = set(self.resolved)
-        nodes.update(e.node for e in self.pending)
-        nodes.update(e.node for e, _ in self.inconsistent)
-        return nodes
+    def anchor(self) -> Optional[ObservedEvent]:
+        """The first event, which every relative interval is measured from."""
+        return self.events[0] if self.events else None
+
+    @property
+    def pending(self) -> tuple[ObservedEvent, ...]:
+        """`(anchor,)` while the anchor is held unresolved, else `()`."""
+        anchor = self.anchor
+        if anchor is None or anchor.node in self.resolved:
+            return ()
+        if any(e.node == anchor.node for e, _ in self.inconsistent):
+            return ()
+        return (anchor,)
 
     @property
     def resolved_evidence(self) -> dict[str, NodeState]:
@@ -118,7 +129,8 @@ class Session:
         """The resolved evidence, plus the held node restricted to the
         intervals of its reported value."""
         evidence: dict = self.resolved_evidence
-        for held in self.pending:
+        if self.pending:
+            held = self.anchor
             evidence[held.node] = [s for s in self.net.states[held.node] if s.value == held.value]
         return evidence
 
@@ -133,6 +145,9 @@ class Session:
     def observe(self, event: ObservedEvent) -> "Session":
         """Fold one event in and return the extended session.
 
+        A report with no interval (a no-change assertion or an instantaneous
+        report) resolves at once. A temporal change that comes first is held
+        until a later report other than a no-change assertion settles it.
         An event whose elapsed time falls outside its node's covered range,
         or a temporal change timed before the anchor (unless it settles the
         held first event), is recorded as inconsistent (its evidence is
@@ -145,46 +160,37 @@ class Session:
         legal = ([node.default_value] if node.default_value is not None else []) + list(node.values)
         if event.value not in legal:
             raise UnknownStateError(node.id, event.value, legal)
-        if event.node in self.observed_nodes:
+        if any(e.node == event.node for e in self.events):
             raise DuplicateObservationError(
                 f"node {event.node!r} was already observed in this session"
             )
 
-        anchor = self.anchor or event
+        anchor = self.anchor
+        held = self.pending
         resolved = dict(self.resolved)
-        pending = self.pending
         inconsistent = list(self.inconsistent)
-
-        if event.value == node.default_value:
-            # A no-change assertion: no interval to resolve, nothing settled.
+        assertion = event.value == node.default_value
+        if assertion or node.kind is NodeKind.INSTANTANEOUS:
             resolved[node.id] = ResolvedObservation(NodeState(event.value), event.tc)
-        elif node.kind is NodeKind.TEMPORAL and self.anchor is None:
-            # First event and temporal: elapsed time is unmeasurable so far.
-            pending = (event,)
+        elif anchor is None:
+            pass  # a temporal change that comes first is held: nothing to measure from
+        elif not held and event.tc < anchor.tc:
+            # intervals run forward from the anchor; only the held first
+            # event is measured backward, from the event that settles it
+            reason = f"reported at {format_time(event.tc)}, before the anchor"
+            reason += f" {anchor.node}={anchor.value} at {format_time(anchor.tc)}"
+            inconsistent.append((event, reason))
         else:
-            if node.kind is NodeKind.INSTANTANEOUS:
-                resolved[node.id] = ResolvedObservation(NodeState(event.value), event.tc)
-            elif not pending and event.tc < anchor.tc:
-                # intervals run forward from the anchor; only the held first
-                # event is measured backward, from the event that settles it
-                reason = f"reported at {format_time(event.tc)}, before the anchor"
-                reason += f" {anchor.node}={anchor.value} at {format_time(anchor.tc)}"
-                inconsistent.append((event, reason))
-            else:
-                self._resolve_timed(resolved, inconsistent, node, event, self.anchor.tc)
-            if pending:
-                # The held first event is measured against this one.
-                (held,) = pending
-                held_node = self.net.spec.node(held.node)
-                self._resolve_timed(resolved, inconsistent, held_node, held, event.tc)
-                pending = ()
+            self._resolve_timed(resolved, inconsistent, node, event, anchor.tc)
+        if held and not assertion:
+            # The held first event is measured against this one.
+            held_node = self.net.spec.node(anchor.node)
+            self._resolve_timed(resolved, inconsistent, held_node, anchor, event.tc)
 
         return replace(
             self,
             events=self.events + (event,),
-            anchor=anchor,
             resolved=resolved,
-            pending=pending,
             inconsistent=tuple(inconsistent),
         )
 
@@ -216,9 +222,9 @@ class Session:
             raise NoPendingObservationError(
                 "no pending observations; every observed node is resolved"
             )
-        (held,) = self.pending
+        held = self.anchor
         dist = self._posteriors[held.node]
-        out = [Scenario({held.node: s}, w) for s, w in dist.items() if s.value == held.value]
+        out = [Scenario(s, w) for s, w in dist.items() if s.value == held.value]
         out.sort(key=lambda s: -s.weight)
         return out
 

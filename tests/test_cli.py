@@ -72,6 +72,22 @@ def test_validate_reports_non_finite_probabilities(tmp_path, model_path, bad):
     assert "1 problem(s)" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "command", [["validate"], ["simulate"], ["evaluate", "-c", "leaf", "-n", "5"]]
+)
+def test_an_interval_ending_at_infinity_is_invalid(tmp_path, model_path, capsys, command):
+    # json reads Infinity as a float; sampling a time in [30, inf] cannot work
+    data = json.loads(open(model_path).read())
+    vs = next(n for n in data["nodes"] if n["id"] == "VS")
+    vs["intervals"][-1][1] = float("inf")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert "[30, Infinity]" in path.read_text()
+    assert tnbn.cli.main([command[0], str(path), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert "node VS: interval [30,inf] does not end at a finite time" in out + err
+
+
 def test_infer_prior(model_path):
     result = run_cli("infer", model_path, "-q", "HI")
     assert result.returncode == 0

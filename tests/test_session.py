@@ -88,6 +88,16 @@ def test_default_assertion_resolves_without_an_interval(accident_net):
     assert s.pending == ()
 
 
+def test_a_no_change_assertion_anchors_the_session(accident_spec, accident_net):
+    # the first report anchors the session even when it says nothing changed
+    s = observe_all(open_session(accident_net), ("VS", "normal", 60), ("PD", "dilated", 62))
+    assert s.anchor == ObservedEvent("VS", "normal", 60)
+    r = s.resolved["PD"]
+    assert accident_spec.node("PD").state_label(r.state) == "dilated@[0,3]"
+    assert r.window == (60, 63)
+    assert s.pending == () and s.inconsistent == ()
+
+
 # --- pending observations and scenarios ---------------------------------------
 
 def test_first_timed_event_is_held_pending(accident_net):
@@ -109,7 +119,7 @@ def test_scenarios_weigh_candidate_intervals(accident_spec, accident_net):
     masses = {i: prior.p(NodeState("unstable", i)) for i in range(3)}
     total = sum(masses.values())
     for sc in scenarios:
-        idx = sc.assignment["VS"].interval_index
+        idx = sc.state.interval_index
         assert sc.weight == pytest.approx(masses[idx] / total, abs=TOL)
 
 
@@ -131,7 +141,7 @@ def test_scenario_weights_account_for_resolved_evidence(accident_spec, accident_
     masses = {i: cond.p(NodeState("unstable", i)) for i in range(3)}
     total = sum(masses.values())
     for sc in s.scenarios():
-        idx = sc.assignment["VS"].interval_index
+        idx = sc.state.interval_index
         assert sc.weight == pytest.approx(masses[idx] / total, abs=TOL)
 
 
@@ -229,6 +239,10 @@ def test_at_most_the_anchor_is_ever_pending(seed):
         s = s.observe(ObservedEvent(node.id, value, float(rng.integers(0, 40))))
         assert len(s.pending) <= 1
         assert all(e == s.anchor for e in s.pending)
+        # the derivation of anchor and pending rests on these
+        assert s.anchor == s.events[0]
+        groups = (s.resolved, [e.node for e in s.pending], [e.node for e, _ in s.inconsistent])
+        assert sorted(e.node for e in s.events) == sorted(n for g in groups for n in g)
 
 
 def test_pending_predict_weighs_the_scenarios_once(accident_net, monkeypatch):
