@@ -222,18 +222,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ModelFormatError as err:
+    # ModelFormatError is a TNBNError, so it must be caught first
+    except (ModelFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except TNBNError as err:
+    except (TNBNError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

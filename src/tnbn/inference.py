@@ -115,20 +115,18 @@ class CompiledNetwork:
     factors: tuple[Factor, ...]
 
     @cached_property
-    def cdfs(self) -> dict[str, dict[tuple[NodeState, ...], np.ndarray]]:
-        """Per node and parent-state row, the cumulative distribution over the
-        node's states, normalised as `Generator.choice` normalises it, so an
-        inverse-CDF draw on one uniform picks what `choice` would. Built on
-        first use: only sampling needs it."""
-        out: dict[str, dict[tuple[NodeState, ...], np.ndarray]] = {}
-        for nid in self.node_ids:
-            out[nid] = {}
-            for key, row in self.spec.tables[nid].rows.items():
-                probs = np.asarray(row, dtype=float)
-                cdf = (probs / probs.sum()).cumsum()
-                cdf /= cdf[-1]
-                out[nid][key] = cdf
-        return out
+    def cdfs(self) -> tuple[np.ndarray, ...]:
+        """Per node axis, the node's factor with its own axis moved last, so it
+        is indexed by the parents' state positions in axis order, and each row
+        made cumulative as `Generator.choice` makes it, so an inverse-CDF draw
+        on one uniform picks what `choice` would. Built on first use: only
+        sampling needs it."""
+        out = []
+        for i, f in enumerate(self.factors):
+            probs = np.ascontiguousarray(np.moveaxis(f.values, f.scope.index(i), -1))
+            cdf = (probs / probs.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
+            out.append(cdf / cdf[..., -1:])
+        return tuple(out)
 
     def index(self, node_id: str) -> int:
         if node_id not in self.axes:
@@ -380,18 +378,19 @@ def _distributions(
     net: CompiledNetwork, targets: Iterable[str], evidence: Optional[Evidence]
 ) -> dict[str, Distribution]:
     """P(target | evidence) for every target, in target order, from one
-    propagation; single-state evidence on a target gives its point mass."""
+    propagation; single-state evidence on a target gives its point mass. With
+    no target there is nothing to propagate, and the evidence is not weighed."""
     targets = list(targets)
     axes = [net.index(t) for t in targets]  # raises UnknownNodeError for unknown ids
     ev_pos = _evidence_positions(net, evidence)
+    if not targets:
+        return {}
     free = dict.fromkeys(a for t, a in zip(targets, axes) if not isinstance(ev_pos.get(t), int))
-    probs: dict[int, np.ndarray] = {}
-    if free:
-        log_z, probs = _propagate(net, _reduced_factors(net, ev_pos, axes), list(free))
-        if log_z == -math.inf:
-            raise ZeroProbabilityEvidenceError(
-                "the given evidence has probability zero under the model"
-            )
+    log_z, probs = _propagate(net, _reduced_factors(net, ev_pos, axes), list(free))
+    if log_z == -math.inf:
+        raise ZeroProbabilityEvidenceError(
+            "the given evidence has probability zero under the model"
+        )
     out = {}
     for t, a in zip(targets, axes):
         if a in probs:

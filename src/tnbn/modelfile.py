@@ -158,7 +158,9 @@ def network_from_dict(data: Any) -> NetworkSpec:
             )
             intervals.append(TimeInterval(_number(pair[0], at), _number(pair[1], at)))
         nodes.append(NodeSpec(nid, kind, values, default, tuple(intervals)))
-    by_id = {n.id: n for n in nodes}
+    # a duplicated id resolves to its first node, as in NetworkSpec.node, so
+    # validation reports the duplicate rather than a row of the other node
+    by_id = {n.id: n for n in reversed(nodes)}
 
     _expect(isinstance(data["edges"], list), "edges must be a list")
     edges: list[tuple[str, str]] = []

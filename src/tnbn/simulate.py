@@ -3,10 +3,11 @@
 A trajectory is one complete ancestral sample of the network, each temporal
 change stamped with a concrete time drawn uniformly inside its interval. The
 sampler draws each node's state by inverse CDF on one uniform, from the
-network's cumulative tables (built on first use). The harness replays part
-of a trajectory into a session as timed events, asks for forecasts, and
-scores them against the hidden remainder, so the session layer (anchoring
-noise included) is part of what gets measured.
+cumulative tables that the compiled network reads off its CPT factors (built
+on first use), indexed by the parents' sampled state positions. The harness
+replays part of a trajectory into a session as timed events, asks for
+forecasts, and scores them against the hidden remainder, so the session
+layer (anchoring noise included) is part of what gets measured.
 """
 
 from __future__ import annotations
@@ -59,26 +60,23 @@ def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
     """
     rng = np.random.default_rng(seed)
     cdfs = net.cdfs
-    assigned: dict[str, NodeState] = {}
-    times: dict[str, Optional[float]] = {}
+    pos = [0] * len(net.node_ids)  # sampled state positions, by axis
+    entries: list[Optional[TrajectoryEntry]] = [None] * len(pos)
     for nid in net.topo:
+        i = net.axes[nid]
         node = net.spec.node(nid)
-        key = tuple(assigned[p] for p in net.spec.tables[nid].parent_order)
-        cdf = cdfs[nid][key]
-        picked = net.states[nid][int(cdf.searchsorted(rng.random(), side="right"))]
-        assigned[nid] = picked
-        if node.kind is NodeKind.TEMPORAL:
-            if picked.interval_index is None:
-                times[nid] = None
-            else:
-                iv = node.intervals[picked.interval_index]
-                times[nid] = float(rng.uniform(iv.lo, iv.hi))
+        cdf = cdfs[i][tuple(pos[j] for j in net.factors[i].scope if j != i)]
+        pos[i] = int(cdf.searchsorted(rng.random(), side="right"))
+        picked = net.states[nid][pos[i]]
+        if node.kind is not NodeKind.TEMPORAL:
+            time = 0.0
+        elif picked.interval_index is None:
+            time = None
         else:
-            times[nid] = 0.0
-    entries = tuple(
-        TrajectoryEntry(nid, assigned[nid], times[nid]) for nid in net.node_ids
-    )
-    return Trajectory(entries, seed)
+            iv = node.intervals[picked.interval_index]
+            time = float(rng.uniform(iv.lo, iv.hi))
+        entries[i] = TrajectoryEntry(nid, picked, time)
+    return Trajectory(tuple(entries), seed)
 
 
 def accuracy_score(predicted: Distribution, actual: NodeState) -> float:
@@ -197,21 +195,19 @@ def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[
     stamped at the end of the node's covered range (a claim that nothing
     happened is only checkable once the whole range has elapsed).
     """
-    changes: list[tuple[float, int, ObservedEvent]] = []
-    assertions: list[tuple[float, int, ObservedEvent]] = []
+    events: list[tuple[bool, float, int, ObservedEvent]] = []
     for nid in revealed:
         node = net.spec.node(nid)
         entry = trajectory.entry(nid)
-        if node.default_value is not None and entry.state.value == node.default_value:
+        asserted = node.default_value is not None and entry.state.value == node.default_value
+        if asserted:
             rng = node.temporal_range
             tc = rng.hi if rng is not None else 0.0
-            assertions.append((tc, net.index(nid), ObservedEvent(nid, entry.state.value, tc)))
         else:
             tc = entry.time if entry.time is not None else 0.0
-            changes.append((tc, net.index(nid), ObservedEvent(nid, entry.state.value, tc)))
-    changes.sort(key=lambda item: item[:2])
-    assertions.sort(key=lambda item: item[:2])
-    return [e for _, _, e in changes] + [e for _, _, e in assertions]
+        events.append((asserted, tc, net.index(nid), ObservedEvent(nid, entry.state.value, tc)))
+    events.sort(key=lambda item: item[:3])
+    return [e for *_, e in events]
 
 
 def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -> EvalReport:
@@ -237,11 +233,11 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
             f"revealing the {condition.removesuffix('-observed')} tier leaves "
             "no hidden node to score"
         )
-    accuracy: list[float] = []
-    rbs: list[float] = []
+    # per trial, the (accuracy, rbs) pair of each hidden node
+    pairs: list[list[tuple[float, float]]] = []
     # The resolved states and the held reports fix the evidence, the scenarios
     # and the targets, hence every forecast: score each signature once.
-    scored: dict[tuple, dict[str, dict[NodeState, tuple[float, float]]]] = {}
+    scored: dict[tuple, list[dict[NodeState, tuple[float, float]]]] = {}
     for t in range(trials):
         trajectory = sample_trajectory(net, trial_seed(seed, t))
         session = open_session(net)
@@ -253,11 +249,13 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
         )
         if key not in scored:
             forecasts = session.predict().forecasts
-            scored[key] = {}
-            for n in hidden:
-                d = forecasts[n].distribution
-                scored[key][n] = {s: (accuracy_score(d, s), rbs_score(d, s)) for s in d.states}
-        pairs = [scored[key][n][trajectory.state_of(n)] for n in hidden]
-        accuracy.append(float(np.mean([a for a, _ in pairs])))
-        rbs.append(float(np.mean([r for _, r in pairs])))
+            scored[key] = [
+                {s: (accuracy_score(d, s), rbs_score(d, s)) for s in d.states}
+                for d in (forecasts[n].distribution for n in hidden)
+            ]
+        pairs.append([by_state[trajectory.state_of(n)] for n, by_state in zip(hidden, scored[key])])
+    # one row of hidden-node scores per trial and metric, each averaged as
+    # np.mean averages a list
+    means = np.ascontiguousarray(np.transpose(pairs, (0, 2, 1))).mean(axis=-1)
+    accuracy, rbs = means.T.tolist()
     return EvalReport(condition, trials, revealed, tuple(accuracy), tuple(rbs))

@@ -136,6 +136,13 @@ def test_infer_impossible_evidence_exits_1(model_path):
     )
     assert result.returncode == 1
     assert "probability zero" in result.stderr
+    # the query observed too: no point mass on impossible evidence
+    result = run_cli(
+        "infer", model_path, "-q", "HI",
+        "-e", "HI=true", "-e", "PD=dilated@[3,5]",
+    )
+    assert result.returncode == 1
+    assert "probability zero" in result.stderr
 
 
 def test_successive_infer_calls_do_not_share_evidence(model_path, capsys):
@@ -146,6 +153,29 @@ def test_successive_infer_calls_do_not_share_evidence(model_path, capsys):
         assert capsys.readouterr().out.startswith("P(C | HI=true)\n")
     assert tnbn.cli.main(["infer", model_path, "-q", "C"]) == 0
     assert capsys.readouterr().out.startswith("P(C)\n")
+
+
+def test_a_duplicated_node_id_is_reported_by_validate(tmp_path, capsys):
+    # B's rows name A's first declaration; the second one must not shadow it
+    data = {
+        "name": "dup",
+        "time_unit": "minute",
+        "nodes": [
+            {"id": "A", "kind": "instantaneous", "values": ["x", "y"]},
+            {"id": "A", "kind": "instantaneous", "values": ["p", "q"]},
+            {"id": "B", "kind": "instantaneous", "values": ["u", "v"]},
+        ],
+        "edges": [["A", "B"]],
+        "cpts": {
+            "A": {"parents": [], "rows": {"": [0.5, 0.5]}},
+            "B": {"parents": ["A"], "rows": {"x": [0.5, 0.5], "y": [0.5, 0.5]}},
+        },
+    }
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    assert tnbn.cli.main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "node A: node id declared more than once" in out + err
 
 
 def test_missing_file_exits_2():

@@ -77,6 +77,11 @@ def test_zero_probability_evidence_is_an_error(accident_net):
     bad = {"HI": NodeState("true"), "VS": NodeState("unstable", 1)}
     with pytest.raises(ZeroProbabilityEvidenceError):
         posterior(accident_net, "C", bad)
+    # the query itself observed: still no point mass on impossible evidence
+    with pytest.raises(ZeroProbabilityEvidenceError):
+        posterior(accident_net, "HI", bad)
+    with pytest.raises(ZeroProbabilityEvidenceError):
+        posterior(accident_net, "HI", {"HI": NodeState("true"), "PD": NodeState("dilated", 1)})
 
 
 def test_unknown_query_nodes_and_states(accident_net):
@@ -578,6 +583,11 @@ def test_marginals_errors_and_point_masses(accident_net):
     bad = {"HI": NodeState("true"), "VS": NodeState("unstable", 1)}
     with pytest.raises(ZeroProbabilityEvidenceError):
         marginals(accident_net, ["C"], bad)
+    # every target observed: the evidence is still checked
+    with pytest.raises(ZeroProbabilityEvidenceError):
+        marginals(accident_net, ["HI"], bad)
+    with pytest.raises(ZeroProbabilityEvidenceError):
+        marginals(accident_net, ["VS", "HI"], bad)
 
 
 def test_factor_size_guard_trips_before_any_product(accident_net, monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from tnbn import (
     NodeKind,
     NodeSpec,
     NodeState,
+    TimeInterval,
     Trajectory,
     TrajectoryEntry,
     UnknownStateError,
@@ -21,6 +24,7 @@ from tnbn import (
     posterior,
     rbs_score,
     sample_trajectory,
+    state_enumeration,
     trial_seed,
 )
 from tnbn.session import Session, open_session
@@ -72,9 +76,35 @@ def _reference_trajectory(net, seed):
     return [(nid, assigned[nid], times[nid]) for nid in net.node_ids]
 
 
+def _wide_network():
+    """A child declared before its two parents, with 10 states (a row longer
+    than numpy's 8-element pairwise-sum block), and 9 leaves under one root,
+    so revealing the roots hides 10 nodes."""
+    rng = np.random.default_rng(47)
+    k = NodeSpec(
+        "K", NodeKind.TEMPORAL, ("a", "b", "c"), default_value="none",
+        intervals=(TimeInterval(0, 4), TimeInterval(4, 9), TimeInterval(9, 20)),
+    )
+    r = NodeSpec("R", NodeKind.INSTANTANEOUS, ("r0", "r1", "r2"))
+    s = NodeSpec("S", NodeKind.INSTANTANEOUS, ("s0", "s1"))
+    leaves = [NodeSpec(f"L{i}", NodeKind.INSTANTANEOUS, ("u", "v", "w")) for i in range(9)]
+    nodes = (k, r, s, *leaves)
+
+    def table(node, parents):
+        keys = itertools.product(*(state_enumeration(p) for p in parents))
+        width = len(state_enumeration(node))
+        rows = {key: tuple(rng.dirichlet(np.ones(width))) for key in keys}
+        return ConditionalTable(node.id, tuple(p.id for p in parents), rows)
+
+    tables = {"K": table(k, (s, r)), "R": table(r, ()), "S": table(s, ())}
+    tables.update({n.id: table(n, (s,)) for n in leaves})
+    edges = (("S", "K"), ("R", "K"), *(("S", n.id) for n in leaves))
+    return NetworkSpec("wide", "minute", nodes, edges, tables)
+
+
 def _sampling_nets(accident_net):
     rng = np.random.default_rng(31)
-    return [accident_net] + [
+    return [accident_net, compile_network(_wide_network())] + [
         compile_network(random_network(rng, max_nodes=8)) for _ in range(4)
     ]
 
@@ -88,13 +118,27 @@ def test_sampler_draws_the_stream_choice_draws(accident_net):
 
 
 def test_cumulative_tables_are_built_on_first_sample(accident_spec):
-    net = compile_network(accident_spec)
-    assert "cdfs" not in vars(net)
-    sample_trajectory(net, 0)
-    for nid in net.node_ids:
-        for cdf in net.cdfs[nid].values():
-            assert cdf[-1] == 1.0
-            assert np.all(np.diff(cdf) >= 0.0)
+    for spec in (accident_spec, _wide_network()):
+        net = compile_network(spec)
+        assert "cdfs" not in vars(net)
+        sample_trajectory(net, 0)
+        assert len(net.cdfs) == len(net.node_ids)
+        for i, nid in enumerate(net.node_ids):
+            cdfs = net.cdfs[i]
+            # indexed by the parents' state positions in axis order
+            parents = sorted(net.spec.parents(nid), key=net.axes.get)
+            assert cdfs.shape == tuple(len(net.states[p]) for p in parents + [nid])
+            assert np.all(cdfs[..., -1] == 1.0)
+            assert np.all(np.diff(cdfs, axis=-1) >= 0.0)
+            # each row, bit for bit, as `Generator.choice` builds it from the CPT row
+            table = net.spec.tables[nid]
+            for key, row in table.rows.items():
+                probs = np.asarray(row, dtype=float)
+                want = (probs / probs.sum()).cumsum()
+                want /= want[-1]
+                where = dict(zip(table.parent_order, key))
+                got = cdfs[tuple(net.state_index(p, where[p]) for p in parents)]
+                assert got.tolist() == want.tolist()
 
 
 def test_trajectory_lookup_by_node(accident_net):
