@@ -2,22 +2,25 @@
 enumeration oracle.
 
 Every query is first pruned to its targets, its evidence and their
-ancestors (every other node is barren and sums out to one), and the
-remaining CPT factors are reduced by the evidence. `_propagate` then makes
-one forward pass of bucket elimination along the min-degree order (Dechter
-1996), in which the first target is summed out last, as an ordinary bucket,
-and, for more than one target, one backward pass of Shafer-Shenoy messages
-over the resulting bucket tree (Shafer & Shenoy 1990). Both passes multiply
-and sum factors through one helper, `_contract`. Together they give every
-target's marginal and log P(evidence). Each forward message
-is divided by its sum and the log of that sum is carried instead, so
-evidence whose probability lies far below the smallest float still yields
-posteriors and a finite `log_evidence_probability`. `posterior`,
-`marginals`, `log_evidence_probability` and `evidence_probability` are thin
-wrappers around that one routine. As a cross-check, `joint_enumerate`
-builds the complete joint table over every state assignment without using
-the factor machinery at all; the two paths share nothing but the network
-definition, so agreement between them is a meaningful test of both.
+ancestors (every other node is barren and sums out to one). `_plan` then
+derives the elimination from scopes alone: the min-degree order, with the
+first target summed out last as an ordinary bucket (Dechter 1996), each
+bucket's input slots and message scope, the bucket tree and the buckets on
+paths to the other targets. The factor size guard fires there, before any
+array is touched. `_propagate` reduces the CPT factors by the evidence and
+runs the plan in one numeric pass: bucket elimination forward and, for more
+than one target, Shafer-Shenoy messages backward (Shafer & Shenoy 1990).
+Both passes multiply and sum through one helper, `_contract`. Each forward
+message is divided by its sum, and a running product that sinks below
+2**-500 is rescaled by an exact power of two; the logs of both scales are
+carried instead. So evidence whose probability lies far below the smallest
+float, even over many small factors in one bucket, still yields posteriors
+and a finite `log_evidence_probability`. `posterior`, `marginals`,
+`log_evidence_probability` and `evidence_probability` are thin wrappers
+around that one routine. As a cross-check, `joint_enumerate` builds the
+complete joint table over every state assignment without using the factor
+machinery at all; the two paths share nothing but the network definition,
+so agreement between them is a meaningful test of both.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
+from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -50,10 +53,16 @@ from .model import (
 JOINT_SIZE_LIMIT = 10_000_000
 # elimination refuses to build intermediate factors above this many cells
 FACTOR_SIZE_LIMIT = 10_000_000
+# a running product whose largest entry falls below this is rescaled
+_TINY = 2.0**-500
+_LN2 = math.log(2.0)
 
 Evidence = Mapping[str, Union[NodeState, Collection[NodeState]]]
-# per evidence node, its state position, or a tuple of positions for a set
-_Positions = Mapping[str, Union[int, tuple[int, ...]]]
+# per evidence axis, its state position, or a tuple of positions for a set
+_Positions = Mapping[int, Union[int, tuple[int, ...]]]
+# a bucket of the forward pass: the variable it sums out, the slots of the
+# factors that hold it, and the scope of the message it sends
+_Step = tuple[int, tuple[int, ...], set[int]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +74,13 @@ class Distribution:
     probs: np.ndarray
 
     def p(self, state: NodeState) -> float:
-        for s, value in zip(self.states, self.probs):
-            if s == state:
-                return float(value)
-        raise UnknownStateError(self.node, _state_text(state), [repr(s) for s in self.states])
+        return float(self.probs[self.index(state)])
+
+    def index(self, state: NodeState) -> int:
+        """The position of `state` in `states`; UnknownStateError if it has none."""
+        if state not in self.states:
+            raise UnknownStateError(self.node, _state_text(state), map(_state_text, self.states))
+        return self.states.index(state)
 
     def argmax(self) -> NodeState:
         """Most probable state; the earliest state wins a tie."""
@@ -190,119 +202,59 @@ def _evidence_positions(net: CompiledNetwork, evidence: Optional[Evidence]) -> _
     out = {}
     for nid, ev in dict(evidence or {}).items():
         many = _is_state_set(nid, ev)
-        net.index(nid)  # raises UnknownNodeError, even for an empty collection
-        out[nid] = tuple(net.state_index(nid, s) for s in ev) if many else net.state_index(nid, ev)
+        axis = net.index(nid)  # raises UnknownNodeError, even for an empty collection
+        out[axis] = tuple(net.state_index(nid, s) for s in ev) if many else net.state_index(nid, ev)
     return out
 
 
-def _reduced_factors(
-    net: CompiledNetwork, ev_pos: _Positions, queries: Iterable[int] = ()
-) -> list[Factor]:
-    """The CPT factors of the queries, the evidence and their ancestors, each
-    reduced by the single-state evidence, plus one 0/1 mask factor per node
-    with set-valued evidence. Every other node is barren: its factors sum to
-    one, so dropping them leaves the answer unchanged."""
-    ev_axes = [(net.axes[nid], p) for nid, p in ev_pos.items() if isinstance(p, int)]
-    masks = [
-        Factor((net.axes[nid],), np.isin(np.arange(len(net.states[nid])), p).astype(float))
-        for nid, p in ev_pos.items() if not isinstance(p, int)
-    ]
-    # factor i is node i's CPT, so its scope is node i plus its parents
-    relevant = {net.axes[nid] for nid in ev_pos} | set(queries)
+def _ancestral_axes(net: CompiledNetwork, axes: Iterable[int]) -> list[int]:
+    """`axes` and the axes of all their ancestors, sorted: the nodes whose
+    CPTs a query needs. Every other node is barren: its factors sum to one,
+    so dropping them leaves the answer unchanged."""
+    relevant = set(axes)
     frontier = list(relevant)
     while frontier:
+        # factor i is node i's CPT, so its scope is node i plus its parents
         for i in net.factors[frontier.pop()].scope:
             if i not in relevant:
                 relevant.add(i)
                 frontier.append(i)
-    out = []
-    for i in sorted(relevant):
-        f = net.factors[i]
-        for j, p in ev_axes:
-            if j in f.scope:
-                f = _reduce(f, j, p)
-        out.append(f)
-    return out + masks
+    return sorted(relevant)
 
 
-@dataclass(eq=False)
-class _Bucket:
-    """One variable summed out in the forward pass: the factors that held it,
-    their product (kept only for a free target) and the message it sent (None
-    for a scalar, which only scales P(e))."""
+def _plan(
+    net: CompiledNetwork, kept: list[int], observed: AbstractSet[int], masked: list[int],
+    free: list[int],
+) -> tuple[list[_Step], list[Optional[int]], list[int]]:
+    """The elimination structure of a query, from scopes alone.
 
-    var: int
-    factors: list[Factor]
-    product: Optional[Factor]
-    message: Optional[Factor]
-
-
-def _contract(factors: list[Factor], keep: Optional[Collection[int]] = None) -> Factor:
-    """The product of `factors`, each reshaped once onto the sorted union of
-    their scopes and multiplied left to right, with every axis whose node is
-    not in `keep` summed out (none when `keep` is None)."""
-    if len(factors) == 1:
-        scope, values = factors[0].scope, factors[0].values
-    else:
-        scope = tuple(sorted(set().union(*[f.scope for f in factors])))
-        values = None
-        for f in factors:
-            part = f.values
-            if f.scope != scope:
-                # f.scope is a sorted subsequence of scope, so a singleton
-                # axis at every missing position is a plain reshape
-                shape = [part.shape[f.scope.index(i)] if i in f.scope else 1 for i in scope]
-                part = part.reshape(shape)
-            values = part if values is None else values * part
-    if keep is None:
-        return Factor(scope, values)
-    gone = tuple([ax for ax, i in enumerate(scope) if i not in keep])
-    if not gone:
-        return Factor(scope, values)
-    return Factor(tuple([i for i in scope if i in keep]), values.sum(axis=gone))
-
-
-def _propagate(
-    net: CompiledNetwork, factors: list[Factor], free: list[int]
-) -> tuple[float, dict[int, np.ndarray]]:
-    """log P(evidence) and the normalised marginal of every free target axis,
-    from one forward and one backward pass over the bucket tree of `factors`
-    (Dechter 1996; Shafer & Shenoy 1990).
-
-    Forward: every variable is summed out, smallest factor-graph degree
-    first, ties to the lowest node index, and `free[0]` last, as an ordinary
-    bucket. Each message is divided by its sum, and the log of that sum,
-    like the log of every scalar factor, is added to log P(e), so no running
-    product underflows. Raises FactorSizeError before building a product
-    larger than FACTOR_SIZE_LIMIT cells. The last bucket's product, over
-    `free[0]` alone, divided by its sum is that target's marginal. Backward,
-    only with more than one free target: each bucket on a path to a target's
-    bucket receives the product of its parent's other factors and incoming
-    message, summed onto the scope of the message it sent up (no division),
-    and its target's marginal is read off its belief. Returns (-inf, {}) as
-    soon as P(e) is found to be 0.
+    Slots 0, 1, ... are the CPT factors of `kept` reduced by the `observed`
+    axes, then one mask per `masked` axis; step k's message takes the slot
+    after them and all earlier messages. Variables go smallest factor-graph
+    degree first, ties to the lowest node index, and `free[0]` last. Raises
+    FactorSizeError before a product above FACTOR_SIZE_LIMIT cells. Returns
+    the steps, each step's parent (the step its message goes to; None for a
+    scalar one), and, last first, the steps that receive a message backward:
+    those below a tree's top on a path up from a `free[1:]` target's step.
     """
-    log_z = 0.0
-    pool = []
-    for f in factors:
-        if f.scope:
-            pool.append(f)
-        elif f.values > 0.0:
-            log_z += math.log(f.values)
-        else:
-            return -math.inf, {}
-    targets = set(free)
-    track = len(free) > 1
-    buckets: list[_Bucket] = []
+    scopes = [net.factors[k].scope for k in kept]
+    scopes = [
+        s if observed.isdisjoint(s) else tuple([i for i in s if i not in observed]) for s in scopes
+    ]
+    scopes += [(a,) for a in masked]
+    base = len(scopes)
+    pool = {s: scope for s, scope in enumerate(scopes) if scope}
+    steps: list[_Step] = []
+    parent: list[Optional[int]] = []
     while pool:
-        scopes = [f.scope for f in pool]
-        candidates = set().union(*scopes)
+        current = list(pool.values())
+        candidates = set().union(*current)
         if free and len(candidates) > 1:
             candidates.discard(free[0])
         best: Optional[tuple[int, int, set[int]]] = None
         for v in sorted(candidates):
             neighbors: set[int] = set()
-            for scope in scopes:
+            for scope in current:
                 if v in scope:
                     neighbors.update(scope)
             neighbors.discard(v)
@@ -312,65 +264,138 @@ def _propagate(
         cells = math.prod(len(net.states[net.node_ids[i]]) for i in neighbors | {v})
         if cells > FACTOR_SIZE_LIMIT:
             raise FactorSizeError(net.node_ids[v], len(neighbors) + 1, cells, FACTOR_SIZE_LIMIT)
-        touching = [f for f in pool if v in f.scope]
-        pool = [f for f in pool if v not in f.scope]
-        product = _contract(touching) if v in targets else None
-        message = _contract(touching if product is None else [product], neighbors)
+        inputs = tuple([s for s, scope in pool.items() if v in scope])
+        for s in inputs:
+            del pool[s]
+            if s >= base:
+                parent[s - base] = len(steps)
+        if neighbors:
+            pool[base + len(steps)] = neighbors
+        steps.append((v, inputs, neighbors))
+        parent.append(None)
+    on_path: set[int] = set()
+    at = {var: k for k, (var, _, _) in enumerate(steps)} if len(free) > 1 else {}
+    for t in free[1:]:
+        k = at[t]
+        while parent[k] is not None and k not in on_path:
+            on_path.add(k)
+            k = parent[k]
+    return steps, parent, sorted(on_path, reverse=True)
+
+
+def _contract(factors: list[Factor], keep: Optional[Collection[int]] = None) -> tuple[Factor, int]:
+    """The product of `factors`, each reshaped once onto the sorted union of
+    their scopes and multiplied left to right, with every axis whose node is
+    not in `keep` summed out (none when `keep` is None), as (factor, e): the
+    exact result is the factor's values times 2**e. Every fourth factor, a
+    running product whose largest entry is below 2**-500 is multiplied by
+    an exact power of two, so many small factors in one bucket cannot
+    underflow: four factors with entries above 2**-130 cannot take it from
+    there below the smallest normal float. A product that never falls that
+    low is returned as computed, with e = 0."""
+    shift = 0
+    if len(factors) == 1:
+        scope, values = factors[0].scope, factors[0].values
+    else:
+        scope = tuple(sorted(set().union(*[f.scope for f in factors])))
+        values = None
+        for j, f in enumerate(factors):
+            part = f.values
+            if f.scope != scope:
+                # f.scope is a sorted subsequence of scope, so a singleton
+                # axis at every missing position is a plain reshape
+                shape = [part.shape[f.scope.index(i)] if i in f.scope else 1 for i in scope]
+                part = part.reshape(shape)
+            if j and j % 4 == 0:
+                peak = values.max()
+                if 0.0 < peak < _TINY:
+                    e = math.frexp(peak)[1]
+                    values, shift = np.ldexp(values, -e), shift + e
+            values = part if values is None else values * part
+    gone = () if keep is None else tuple([ax for ax, i in enumerate(scope) if i not in keep])
+    if gone:
+        scope, values = tuple([i for i in scope if i in keep]), values.sum(axis=gone)
+    return Factor(scope, values), shift
+
+
+def _propagate(
+    net: CompiledNetwork, ev_pos: _Positions, queries: list[int]
+) -> tuple[float, dict[int, np.ndarray]]:
+    """log P(evidence) and the normalised marginal of every query axis free
+    of single-state evidence: the query's `_plan`, run by one numeric pass.
+
+    Forward, each step multiplies its input slots, sums its variable out and
+    divides the message by its sum; the log of that sum, of every scalar
+    factor and of each power of two that `_contract` rescaled by is added to
+    log P(e). Only a free target's step keeps its product. Backward, each
+    step on a path to a target receives its parent's other factors and
+    incoming message, summed onto the scope of the message it sent up (no
+    division). A target's marginal is its product times that message,
+    normalised. Returns (-inf, {}) as soon as P(e) is found to be 0.
+    """
+    observed = {a: p for a, p in ev_pos.items() if isinstance(p, int)}
+    masks = {a: p for a, p in ev_pos.items() if not isinstance(p, int)}
+    free = [a for a in dict.fromkeys(queries) if a not in observed]
+    kept = _ancestral_axes(net, [*ev_pos, *free])
+    steps, parent, on_path = _plan(net, kept, observed.keys(), list(masks), free)
+
+    slots: list[Optional[Factor]] = []
+    for i in kept:
+        f = net.factors[i]
+        for j, p in observed.items():
+            if j in f.scope:
+                f = _reduce(f, j, p)
+        slots.append(f)
+    for a, p in masks.items():
+        slots.append(Factor((a,), np.isin(np.arange(len(net.states[net.node_ids[a]])), p) * 1.0))
+    log_z = 0.0
+    for f in slots:
+        if not f.scope:
+            if not f.values > 0.0:
+                return -math.inf, {}
+            log_z += math.log(f.values)
+
+    base, targets = len(slots), set(free)
+    reread = {parent[k] for k in on_path}  # steps the backward pass reads again
+    products: dict[int, Factor] = {}
+    for k, (v, inputs, scope) in enumerate(steps):
+        touching = [slots[s] for s in inputs]
+        if v in targets:
+            products[k], shift = _contract(touching)
+            message = _contract([products[k]], scope)[0]
+        else:
+            message, shift = _contract(touching, scope)
         total = float(message.values.sum())
         if not total > 0.0:
             return -math.inf, {}
-        log_z += math.log(total)
-        if message.scope:
+        log_z += math.log(total) + shift * _LN2
+        if scope:
             values = message.values  # a fresh array, owned by this message
             values /= total
-            pool.append(message)
-        else:
-            message = None
-        if track:
-            buckets.append(_Bucket(v, touching, product, message))
-    if not free:
-        return log_z, {}
-    # the last bucket was free[0]'s, and its product is over free[0] alone
-    out = {free[0]: product.values / total}
-    if not track:
-        return log_z, out
+        slots.append(message)
+        if k not in reread:
+            for s in inputs:
+                slots[s] = None
 
-    at = {b.var: k for k, b in enumerate(buckets)}
-    # a message goes to the bucket of the first of its variables to be
-    # summed out; a bucket that sent none is a tree's top
-    parent = [
-        None if b.message is None else min(at[i] for i in b.message.scope) for b in buckets
-    ]
-    on_path: set[int] = set()
-    for t in free[1:]:
-        k = at[t]
-        while k is not None and k not in on_path:
-            on_path.add(k)
-            k = parent[k]
-    # the message each bucket on a path receives from its parent (None when
-    # it is constant); a parent is created after its children, so this
-    # visits it first. Each product is rebuilt from the parent's other
-    # factors rather than kept, so no more than one is alive at a time.
-    down: dict[int, Optional[Factor]] = {}
-    for k in sorted(on_path, reverse=True):
-        b, up = buckets[k], parent[k]
-        down[k] = None
-        if up is None:
-            continue
-        parts = [f for f in buckets[up].factors if f is not b.message]
-        if down[up] is not None:
+    # a parent step comes after its children, so it is visited first
+    down: dict[int, Factor] = {}
+    for k in on_path:
+        up = parent[k]
+        parts = [slots[s] for s in steps[up][1] if s != base + k]
+        if up in down:
             parts.append(down[up])
         if parts:
-            incoming = _contract(parts, b.message.scope)
+            incoming = _contract(parts, steps[k][2])[0]
             if incoming.scope:
                 down[k] = Factor(incoming.scope, incoming.values / incoming.values.sum())
-    for t in free[1:]:
-        k = at[t]
-        parts = [buckets[k].product]
-        if down[k] is not None:
-            parts.append(down[k])
-        marginal = _contract(parts, (t,)).values
-        out[t] = marginal / marginal.sum()
+    out = {}
+    for k, product in products.items():
+        v = steps[k][0]
+        if k == len(steps) - 1:  # free[0]'s, whose product is over free[0] alone
+            out[v] = product.values / total
+            continue
+        marginal = _contract([product, down[k]] if k in down else [product], (v,))[0].values
+        out[v] = marginal / marginal.sum()
     return log_z, out
 
 
@@ -385,26 +410,22 @@ def _distributions(
     ev_pos = _evidence_positions(net, evidence)
     if not targets:
         return {}
-    free = dict.fromkeys(a for t, a in zip(targets, axes) if not isinstance(ev_pos.get(t), int))
-    log_z, probs = _propagate(net, _reduced_factors(net, ev_pos, axes), list(free))
+    log_z, probs = _propagate(net, ev_pos, axes)
     if log_z == -math.inf:
         raise ZeroProbabilityEvidenceError(
             "the given evidence has probability zero under the model"
         )
     out = {}
     for t, a in zip(targets, axes):
-        if a in probs:
-            out[t] = Distribution(t, net.states[t], probs[a])
-        else:
-            point = np.zeros(len(net.states[t]))
-            point[ev_pos[t]] = 1.0
-            out[t] = Distribution(t, net.states[t], point)
+        if a not in probs:
+            probs[a] = np.zeros(len(net.states[t]))
+            probs[a][ev_pos[a]] = 1.0
+        out[t] = Distribution(t, net.states[t], probs[a])
     return out
 
 
 def _log_evidence(net: CompiledNetwork, evidence: Optional[Evidence]) -> float:
-    ev_pos = _evidence_positions(net, evidence)
-    return _propagate(net, _reduced_factors(net, ev_pos), [])[0]
+    return _propagate(net, _evidence_positions(net, evidence), [])[0]
 
 
 def posterior(net: CompiledNetwork, query: str, evidence: Optional[Evidence] = None) -> Distribution:

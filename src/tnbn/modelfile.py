@@ -191,7 +191,11 @@ def network_from_dict(data: Any) -> NetworkSpec:
             keys = (_parse_row_key(by_id, parsed, parents, t, where) for t in rows_raw)
         rows: dict[tuple[NodeState, ...], tuple[float, ...]] = {}
         for key, (key_text, probs_raw) in zip(keys, rows_raw.items()):
-            if not isinstance(probs_raw, list) or not all(map(_is_number, probs_raw)):
+            # exact ints and floats pass without a Python call per entry; any
+            # other type, bool included, is checked by _is_number
+            if not isinstance(probs_raw, list) or not (
+                {int, float}.issuperset(map(type, probs_raw)) or all(map(_is_number, probs_raw))
+            ):
                 raise ModelFormatError(_row_error(where, key_text, probs_raw))
             rows[key] = tuple(map(float, probs_raw))
         tables[child] = ConditionalTable(child, parents, rows)

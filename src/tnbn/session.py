@@ -77,10 +77,7 @@ class Forecast:
     windows: tuple[Optional[tuple[float, float]], ...]
 
     def window_for(self, state: NodeState) -> Optional[tuple[float, float]]:
-        for s, w in zip(self.distribution.states, self.windows):
-            if s == state:
-                return w
-        raise KeyError(state)
+        return self.windows[self.distribution.index(state)]  # raises UnknownStateError
 
 
 @dataclass(frozen=True)

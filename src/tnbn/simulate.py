@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyTierError, UnknownStateError
-from .inference import CompiledNetwork, Distribution, _state_text
+from .errors import EmptyTierError
+from .inference import CompiledNetwork, Distribution
 from .model import NetworkSpec, NodeKind, NodeState
 from .session import ObservedEvent, open_session
 
@@ -81,7 +81,7 @@ def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
 
 def accuracy_score(predicted: Distribution, actual: NodeState) -> float:
     """100 when the most probable state is the actual one, else 0."""
-    _require_state(predicted, actual)
+    predicted.index(actual)  # raises UnknownStateError
     return 100.0 if predicted.argmax() == actual else 0.0
 
 
@@ -91,17 +91,10 @@ def rbs_score(predicted: Distribution, actual: NodeState) -> float:
     100 means full confidence in the actual state; a uniform coin-flip over
     two states scores 75; full confidence in a wrong state scores 0.
     """
-    _require_state(predicted, actual)
+    predicted.index(actual)  # raises UnknownStateError
     target = np.array([1.0 if s == actual else 0.0 for s in predicted.states])
     brier = float(np.sum((predicted.probs - target) ** 2))
     return 100.0 * (1.0 - brier / 2.0)
-
-
-def _require_state(predicted: Distribution, actual: NodeState) -> None:
-    if not any(s == actual for s in predicted.states):
-        raise UnknownStateError(
-            predicted.node, _state_text(actual), [repr(s) for s in predicted.states]
-        )
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -92,6 +93,15 @@ def test_unknown_query_nodes_and_states(accident_net):
     with pytest.raises(UnknownStateError) as info:
         posterior(accident_net, "C", {"VS": NodeState("unstable")})
     assert "unstable@[0,10]" in str(info.value)
+
+
+def test_distribution_names_an_unknown_state_as_it_names_the_legal_ones(accident_net):
+    with pytest.raises(UnknownStateError) as info:
+        posterior(accident_net, "VS").p(NodeState("unstable", 5))
+    assert str(info.value) == (
+        "unknown state 'unstable@interval#5' for node 'VS'; legal states: "
+        "normal, unstable@interval#0, unstable@interval#1, unstable@interval#2"
+    )
 
 
 def test_set_valued_evidence_restricts_a_node_to_some_of_its_states(accident_net):
@@ -381,7 +391,7 @@ def record_contractions(monkeypatch):
 
     def wrapper(factors, keep=None):
         out = contract(factors, keep)
-        calls.append(set().union(*(f.scope for f in factors)) - set(out.scope))
+        calls.append(set().union(*(f.scope for f in factors)) - set(out[0].scope))
         return out
 
     monkeypatch.setattr(tnbn.inference, "_contract", wrapper)
@@ -573,6 +583,33 @@ def test_elimination_follows_min_degree_with_the_first_target_last(monkeypatch):
                 assert summed == want
 
 
+def test_a_plan_depends_only_on_which_nodes_hold_evidence(monkeypatch):
+    plans = []
+    plan = tnbn.inference._plan
+    monkeypatch.setattr(
+        tnbn.inference, "_plan", lambda *args: plans.append(plan(*args)) or plans[-1]
+    )
+    for seed in range(30):
+        rng = np.random.default_rng(700 + seed)
+        net = compile_network(random_network(rng, max_nodes=12))
+        nodes = list(net.node_ids)
+        held = nodes.pop(int(rng.integers(len(nodes))))
+        observed = [nid for nid in nodes if rng.random() < 0.4]
+        targets = [held] + [nid for nid in nodes if nid not in observed]
+        # the same nodes observed in two different states each (every node
+        # has at least two), and two different sets of states on `held`
+        seen = []
+        for first in (0, 1):
+            evidence = {nid: net.states[nid][first] for nid in observed}
+            evidence[held] = net.states[held][first:]
+            plans.clear()
+            marginals(net, targets, evidence)
+            log_evidence_probability(net, evidence)
+            seen.append(plans[:])
+        assert len(seen[0]) == 2
+        assert seen[0] == seen[1]
+
+
 def test_marginals_errors_and_point_masses(accident_net):
     assert marginals(accident_net, []) == {}
     got = marginals(accident_net, ["C", "HI"], {"C": NodeState("moderate")})
@@ -602,6 +639,17 @@ def test_factor_size_guard_trips_before_any_product(accident_net, monkeypatch):
         "eliminating node 'C' would build a factor over 3 nodes with 18 cells (limit 17)"
     )
     assert calls == []
+    # with single-state evidence on PD the same step trips, before any factor
+    # is reduced by the evidence
+    reduced = []
+    reduce = tnbn.inference._reduce
+    monkeypatch.setattr(
+        tnbn.inference, "_reduce", lambda *args: reduced.append(args) or reduce(*args)
+    )
+    with pytest.raises(FactorSizeError) as info:
+        posterior(accident_net, "VS", {"PD": NodeState("dilated", 0)})
+    assert (info.value.node, info.value.cells) == ("C", 18)
+    assert calls == [] and reduced == []
     # the root C's prior never touches its barren descendants, so it answers
     assert posterior(accident_net, "C").p(NodeState("severe")) == pytest.approx(0.368, abs=TOL)
     # the largest factor is the next step's, over HI, IB and VS: 2 * 3 * 4
@@ -718,3 +766,77 @@ def test_messages_between_hidden_hubs_carry_their_scale_as_a_log():
         want = joint.sum(axis=tuple(a for a in range(len(hubs)) if a != ax))
         assert np.max(np.abs(got[nid].probs - want)) <= 1e-12
         assert np.max(np.abs(posterior(net, nid, rest).probs - want)) <= 1e-12
+
+
+# --- many small factors in one bucket -------------------------------------------
+
+def hub_network(n, hubs, p_y):
+    """Roots H0, H1, ... (states a, b; prior 0.5/0.5) and n children C0, C1,
+    ..., each a child of every hub with P(C=y | hubs) = p_y[hub states], plus
+    one more child F of H0 alone; every C is observed at y."""
+    yn = ("y", "n")
+    hub_nodes = [NodeSpec(f"H{i}", NodeKind.INSTANTANEOUS, ("a", "b")) for i in range(hubs)]
+    children = [NodeSpec(f"C{j}", NodeKind.INSTANTANEOUS, yn) for j in range(n)]
+    free = NodeSpec("F", NodeKind.INSTANTANEOUS, yn)
+    hub_ids = tuple(h.id for h in hub_nodes)
+    keys = list(itertools.product(*[h.values for h in hub_nodes]))
+    tables = {h.id: ConditionalTable(h.id, (), {(): (0.5, 0.5)}) for h in hub_nodes}
+    rows = {tuple(map(NodeState, k)): (p_y[k], 1.0 - p_y[k]) for k in keys}
+    for c in children:
+        tables[c.id] = ConditionalTable(c.id, hub_ids, rows)
+    tables["F"] = ConditionalTable(
+        "F", ("H0",), {(NodeState("a"),): (0.3, 0.7), (NodeState("b"),): (0.6, 0.4)}
+    )
+    edges = [(h, c.id) for c in children for h in hub_ids] + [("H0", "F")]
+    spec = NetworkSpec("hubs", "unit", (*hub_nodes, *children, free), tuple(edges), tables)
+    evidence = {c.id: NodeState("y") for c in children}
+    # the exact log weight of each joint hub state, and its log P(e) share
+    log_w = {k: hubs * math.log(0.5) + n * math.log(p_y[k]) for k in keys}
+    return compile_network(spec), evidence, log_w
+
+
+def assert_exact(net, evidence, log_w, hubs):
+    top = max(log_w.values())
+    ratio = {k: math.exp(w - top) for k, w in log_w.items()}
+    total = math.fsum(ratio.values())
+    want_log = top + math.log(total)
+    got = log_evidence_probability(net, evidence)
+    assert abs(got - want_log) <= 1e-12 * abs(want_log)
+    want = {
+        f"H{i}": np.array([
+            math.fsum(r for k, r in ratio.items() if k[i] == s) / total for s in ("a", "b")
+        ])
+        for i in range(hubs)
+    }
+    want["F"] = np.array([0.3, 0.7]) * want["H0"][0] + np.array([0.6, 0.4]) * want["H0"][1]
+    for h in want:
+        if h != "F":
+            assert np.max(np.abs(posterior(net, h, evidence).probs - want[h])) <= 1e-12
+    # each hub among several targets, next to a child left free, in both
+    # orders, so a hub is summed out last once and reached backward once
+    for targets in (list(want), list(reversed(want))):
+        got = marginals(net, targets, evidence)
+        for t in targets:
+            assert np.max(np.abs(got[t].probs - want[t])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [60, 64, 80, 200, 2000])
+def test_many_small_factors_in_one_bucket_stay_exact(n):
+    # each finding is nearly as likely under either state of the hub, so
+    # P(e) drops by about 1e-5 per child while the posterior stays moderate
+    net, evidence, log_w = hub_network(n, 1, {("a",): 1e-5, ("b",): 1.001e-5})
+    assert_exact(net, evidence, log_w, 1)
+
+
+def test_many_small_equal_factors_give_a_finite_log_evidence():
+    net, evidence, log_w = hub_network(80, 1, {("a",): 1e-5, ("b",): 1e-5})
+    assert log_evidence_probability(net, evidence) == pytest.approx(80 * math.log(1e-5), rel=1e-12)
+    assert_exact(net, evidence, log_w, 1)
+
+
+@pytest.mark.parametrize("n", [64, 200, 2000])
+def test_many_small_factors_over_two_hubs_stay_exact(n):
+    # every child factor is over both hubs, so the bucket products have two axes
+    p_y = {("a", "a"): 1e-5, ("a", "b"): 1.001e-5, ("b", "a"): 1.002e-5, ("b", "b"): 0.999e-5}
+    net, evidence, log_w = hub_network(n, 2, p_y)
+    assert_exact(net, evidence, log_w, 2)

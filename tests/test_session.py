@@ -351,6 +351,16 @@ def test_forecast_windows_follow_the_anchor(accident_net):
     assert forecast.window_for(NodeState("unstable", 1)) == (110, 130)
 
 
+def test_window_for_an_unknown_state_is_a_typed_error(accident_net):
+    forecast = observe_all(open_session(accident_net), ("C", "severe", 100)).predict().forecasts["VS"]
+    with pytest.raises(UnknownStateError) as info:
+        forecast.window_for(NodeState("unstable", 3))
+    assert str(info.value) == (
+        "unknown state 'unstable@interval#3' for node 'VS'; legal states: "
+        "normal, unstable@interval#0, unstable@interval#1, unstable@interval#2"
+    )
+
+
 def test_mixture_over_scenarios_equals_value_conditioning(accident_spec, accident_net):
     s = observe_all(open_session(accident_net), ("VS", "unstable", 115))
     report = s.predict()

@@ -219,6 +219,14 @@ def test_rbs_rewards_honesty_on_average():
     assert expected(honest) > expected(overconfident)
 
 
+def test_scores_name_a_foreign_state_as_they_name_the_legal_ones():
+    d = _dist("X", [(NodeState("a", 0), 0.5), (NodeState("b"), 0.5)])
+    for score in (accuracy_score, rbs_score):
+        with pytest.raises(UnknownStateError) as info:
+            score(d, NodeState("a", 1))
+        assert str(info.value) == "unknown state 'a@interval#1' for node 'X'; legal states: a@interval#0, b"
+
+
 def test_scores_reject_foreign_states():
     d = _dist("X", [(NodeState("a"), 0.5), (NodeState("b"), 0.5)])
     with pytest.raises(UnknownStateError):
