@@ -43,7 +43,6 @@ from .errors import (
 from .model import (
     NetworkSpec,
     NodeState,
-    _keys_in_order,
     state_enumeration,
     toposort,
     validate,
@@ -57,6 +56,7 @@ FACTOR_SIZE_LIMIT = 10_000_000
 _TINY = 2.0**-500
 _LN2 = math.log(2.0)
 
+# one NodeState (though a pair, always one state) or a collection meaning "one of these"
 Evidence = Mapping[str, Union[NodeState, Collection[NodeState]]]
 # per evidence axis, its state position, or a tuple of positions for a set
 _Positions = Mapping[int, Union[int, tuple[int, ...]]]
@@ -78,9 +78,12 @@ class Distribution:
 
     def index(self, state: NodeState) -> int:
         """The position of `state` in `states`; UnknownStateError if it has none."""
-        if state not in self.states:
-            raise UnknownStateError(self.node, _state_text(state), map(_state_text, self.states))
-        return self.states.index(state)
+        try:
+            return self.states.index(state)
+        except ValueError:
+            raise UnknownStateError(
+                self.node, _state_text(state), map(_state_text, self.states)
+            ) from None
 
     def argmax(self) -> NodeState:
         """Most probable state; the earliest state wins a tie."""
@@ -173,10 +176,7 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
         # validation guarantees exactly one row per parent-state tuple
         axes = [index[p] for p in table.parent_order] + [index[nid]]
         enums = [states[p] for p in table.parent_order]
-        if _keys_in_order(table.rows, enums):
-            rows = list(table.rows.values())
-        else:
-            rows = [table.rows[key] for key in itertools.product(*enums)]
+        rows = [table.rows[key] for key in itertools.product(*enums)]
         shape = [card[p] for p in table.parent_order] + [card[nid]]
         block = np.array(rows, dtype=float).reshape(shape)
         arr = np.ascontiguousarray(block.transpose(np.argsort(axes)))
@@ -189,8 +189,9 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
 
 def _is_state_set(nid: str, ev: object) -> bool:
     """Whether the evidence value `ev` on `nid` is a collection of states
-    ("one of these") rather than one NodeState; TypeError if it is neither."""
-    many = isinstance(ev, Collection) and not isinstance(ev, str)
+    ("one of these") rather than one NodeState; TypeError if it is neither.
+    A NodeState is itself a pair, so it is ruled out first: it is one state."""
+    many = not isinstance(ev, (NodeState, str)) and isinstance(ev, Collection)
     if not (isinstance(ev, NodeState) or many and all(isinstance(s, NodeState) for s in ev)):
         raise TypeError(
             f"evidence on node {nid!r} must be a NodeState or a collection of them, got {ev!r}"
@@ -391,9 +392,6 @@ def _propagate(
     out = {}
     for k, product in products.items():
         v = steps[k][0]
-        if k == len(steps) - 1:  # free[0]'s, whose product is over free[0] alone
-            out[v] = product.values / total
-            continue
         marginal = _contract([product, down[k]] if k in down else [product], (v,))[0].values
         out[v] = marginal / marginal.sum()
     return log_z, out
@@ -433,7 +431,8 @@ def posterior(net: CompiledNetwork, query: str, evidence: Optional[Evidence] = N
 
     Only the factors of the query, the evidence and their ancestors enter
     the elimination. An evidence value is a NodeState, or a collection of
-    them meaning "one of these" (anything else raises TypeError).
+    them meaning "one of these" (anything else raises TypeError); a
+    NodeState, though itself a pair, is always one state.
     Single-state evidence on the query node yields the matching point mass.
     Evidence whose probability is zero (log P(e) = -inf, not merely below
     the smallest float) raises ZeroProbabilityEvidenceError.

@@ -17,13 +17,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import RangeOverflowError, UnknownNodeError, UnknownStateError
 
@@ -97,13 +96,15 @@ def allen_relation(a: TimeInterval, b: TimeInterval) -> AllenRelation:
     return AllenRelation.NONE
 
 
-@dataclass(frozen=True)
-class NodeState:
+class NodeState(NamedTuple):
     """One state of a node.
 
     `interval_index` points into the node's interval list for the timed
     states of a temporal node. It is None for the default (no-change) state
     and for every state of an instantaneous node.
+
+    A state is a plain (value, interval_index) tuple: it hashes and compares
+    as that tuple does, and equals the tuple with the same two fields.
     """
 
     value: str
@@ -157,11 +158,6 @@ class NodeSpec:
         return tuple(states)
 
     @cached_property
-    def _interned(self) -> dict[NodeState, NodeState]:
-        """Each state mapped to its own object in `state_enumeration`."""
-        return {s: s for s in self._states}
-
-    @cached_property
     def _violations(self) -> tuple[Violation, ...]:
         return tuple(_node_violations(self))
 
@@ -175,14 +171,13 @@ class NodeSpec:
         return tuple(self.state_labels())
 
     def parse_state_label(self, text: str) -> NodeState:
-        """Inverse of `state_label`, giving the node's own enumerated state;
-        raises UnknownStateError otherwise."""
+        """Inverse of `state_label`, giving one of the node's enumerated
+        states; raises UnknownStateError otherwise."""
         text = text.strip()
         value, sep, rest = text.partition("@")
         if not sep:
-            state = self._interned.get(NodeState(value))
-            if state is not None:
-                return state
+            if NodeState(value) in self._states:
+                return NodeState(value)
             raise UnknownStateError(self.id, text, self.state_labels())
         m = _TIMED_BOUNDS.fullmatch(rest)
         if m:
@@ -191,10 +186,8 @@ class NodeSpec:
             except ValueError:
                 raise UnknownStateError(self.id, text, self.state_labels()) from None
             for i, iv in enumerate(self.intervals):
-                if iv.lo == lo and iv.hi == hi:
-                    state = self._interned.get(NodeState(value, i))
-                    if state is not None:
-                        return state
+                if iv.lo == lo and iv.hi == hi and NodeState(value, i) in self._states:
+                    return NodeState(value, i)
         raise UnknownStateError(self.id, text, self.state_labels())
 
 
@@ -488,21 +481,18 @@ def _table_violations(spec: NetworkSpec, node: NodeSpec) -> list[Violation]:
     if child_enum is None:
         return out
 
+    expected = set(itertools.product(*enums))
     valid = table.rows.items()
-    if not _keys_in_order(table.rows, enums):
-        expected_keys = {()}
-        for penum in enums:
-            expected_keys = {key + (s,) for key in expected_keys for s in penum}
-        seen = set(table.rows.keys())
-        for key in sorted(expected_keys - seen, key=repr):
+    if table.rows.keys() != expected:
+        for key in sorted(expected - table.rows.keys(), key=repr):
             out.append(
                 Violation(subject, f"missing row for parent states {_key_text(spec, table, key)}")
             )
-        for key in sorted(seen - expected_keys, key=repr):
+        for key in sorted(table.rows.keys() - expected, key=repr):
             out.append(
                 Violation(subject, f"unexpected row for parent states {_key_text(spec, table, key)}")
             )
-        valid = [(key, probs) for key, probs in valid if key in expected_keys]
+        valid = [(key, probs) for key, probs in valid if key in expected]
     bad_rows: list[tuple[tuple[NodeState, ...], str]] = []
     for key, probs in valid:
         if len(probs) != len(child_enum):
@@ -514,17 +504,6 @@ def _table_violations(spec: NetworkSpec, node: NodeSpec) -> list[Violation]:
     for key, problem in sorted(bad_rows, key=lambda kp: repr(kp[0])):
         out.append(Violation(subject, f"row {_key_text(spec, table, key)} {problem}"))
     return out
-
-
-def _keys_in_order(
-    rows: Mapping[tuple[NodeState, ...], object], enums: list[tuple[NodeState, ...]]
-) -> bool:
-    """Whether the row keys are exactly the product of the parents' state
-    enumerations, in that order. Keys built from the enumerated states
-    compare by identity, so no state is hashed or compared by value."""
-    return len(rows) == math.prod(map(len, enums)) and all(
-        map(operator.eq, rows, itertools.product(*enums))
-    )
 
 
 def _key_text(spec: NetworkSpec, table: ConditionalTable, key: tuple[NodeState, ...]) -> str:

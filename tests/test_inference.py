@@ -196,6 +196,9 @@ def test_compile_rejects_invalid_networks():
         compile_network(spec)
     assert info.value.violations
     assert "sums to" in str(info.value)
+    with pytest.raises(InvalidNetworkError) as info:
+        joint_enumerate(spec)
+    assert "sums to" in str(info.value)
 
 
 def _cell_by_cell_factors(net):
@@ -330,6 +333,31 @@ def test_joint_rejects_malformed_evidence_values(accident_spec, bad):
     with pytest.raises(TypeError) as info:
         joint_enumerate(accident_spec, {"C": bad})
     assert str(info.value).startswith("evidence on node 'C' must be a NodeState")
+
+
+def test_a_state_is_a_plain_pair_and_evidence_reads_it_as_one_state(accident_spec, accident_net):
+    # hashing and equality are the tuple's own, so a state equals its pair
+    assert NodeState.__hash__ is tuple.__hash__
+    assert NodeState.__eq__ is tuple.__eq__
+    severe = NodeState("severe")
+    assert severe == ("severe", None) and hash(severe) == hash(("severe", None))
+    assert repr(severe) == "NodeState(value='severe', interval_index=None)"
+    # though a pair, a NodeState is one state; a tuple of them is a set, and a
+    # plain pair is neither
+    queries = (
+        lambda ev: posterior(accident_net, "PD", ev).probs,
+        lambda ev: joint_enumerate(accident_spec, ev).values,
+    )
+    dilated = (NodeState("dilated", 0), NodeState("dilated", 1))
+    for query in queries:
+        assert np.array_equal(query({"C": severe}), query({"C": (severe,)}))
+        assert not np.array_equal(query({"C": severe}), query({"C": (severe, NodeState("mild"))}))
+        assert np.array_equal(query({"PD": dilated[1]}), query({"PD": dilated[1:]}))
+        assert not np.array_equal(query({"PD": dilated[1]}), query({"PD": dilated}))
+        for pair in [("severe", None), ("dilated", 1)]:
+            with pytest.raises(TypeError) as info:
+                query({"C": pair})
+            assert str(info.value).startswith("evidence on node 'C' must be a NodeState")
 
 
 def test_joint_reads_a_collection_as_one_of_its_states(accident_spec):

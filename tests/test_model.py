@@ -355,6 +355,14 @@ def test_validate_label_charset():
     assert any("reserved" in m for m in _messages(_tiny_net(nodes=(a, _tiny_net().nodes[1]))))
     a = NodeSpec("A", NodeKind.INSTANTANEOUS, ("y@z", "n"))
     assert any("reserved" in m for m in _messages(_tiny_net(nodes=(a, _tiny_net().nodes[1]))))
+    a = NodeSpec("", NodeKind.INSTANTANEOUS, ("y", "n"))
+    assert "node : node id must be a non-empty string" in _messages(
+        _tiny_net(nodes=(a, _tiny_net().nodes[1]))
+    )
+    a = NodeSpec("A", NodeKind.INSTANTANEOUS, ("", "n"))
+    assert "node A: value must be a non-empty string" in _messages(
+        _tiny_net(nodes=(a, _tiny_net().nodes[1]))
+    )
 
 
 def test_validate_duplicate_node_ids():
@@ -412,6 +420,12 @@ def test_validate_table_problems():
     tables = dict(base.tables)
     tables["B"] = ConditionalTable("B", (), {(): (0.2, 0.5, 0.3)})
     assert any("does not match" in m for m in _messages(_tiny_net(tables=tables)))
+    # a table filed under another node's id
+    tables = dict(base.tables)
+    tables["A"] = ConditionalTable("B", (), {(): (0.3, 0.7)})
+    assert _messages(_tiny_net(tables=tables)) == [
+        "cpt A: table is keyed 'A' but names child 'B'"
+    ]
 
 
 def test_validate_rows():
@@ -437,6 +451,14 @@ def test_validate_rows():
     negative[(NodeState("y"),)] = (-0.2, 0.9, 0.3)
     tables["B"] = ConditionalTable("B", ("A",), negative)
     assert any("outside [0, 1]" in m for m in _messages(_tiny_net(tables=tables)))
+
+    # a parent state with no label is named by its value
+    c = NodeSpec("C", NodeKind.INSTANTANEOUS, ("on", "off"))
+    rows = {(s,): (0.5, 0.5) for s in state_enumeration(base.nodes[1])}
+    rows[(NodeState("x", 9),)] = (0.5, 0.5)
+    tables = {**base.tables, "C": ConditionalTable("C", ("B",), rows)}
+    spec = _tiny_net(nodes=base.nodes + (c,), edges=base.edges + (("B", "C"),), tables=tables)
+    assert _messages(spec) == ["cpt C: unexpected row for parent states (B='x')"]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

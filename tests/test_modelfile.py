@@ -143,49 +143,6 @@ def test_load_and_compile_check_each_node_once_and_parse_each_label_once(
         assert net.topo is toposort(net.spec)
 
 
-def test_a_canonical_load_hashes_each_row_key_component_once(tmp_path, monkeypatch):
-    spec = random_network(np.random.default_rng(11), n_nodes=60, edge_share=0.5)
-    canonical = network_to_dict(spec)
-    components = sum(len(t.parent_order) * len(t.rows) for t in spec.tables.values())
-    assert components > 50 * len(spec.nodes)
-
-    calls = Counter()
-    state_hash, state_eq = NodeState.__hash__, NodeState.__eq__
-
-    def counted_hash(state):
-        calls["hash"] += 1
-        return state_hash(state)
-
-    def counted_eq(state, other):
-        calls["eq"] += 1
-        return state_eq(state, other)
-
-    path = tmp_path / "net.json"
-    nets = {}
-    respelled = _rewrite_rows(canonical, _respell)
-    for name, data in [("canonical", canonical), ("respelled", respelled)]:
-        path.write_text(json.dumps(data))
-        calls.clear()
-        monkeypatch.setattr(NodeState, "__hash__", counted_hash)
-        monkeypatch.setattr(NodeState, "__eq__", counted_eq)
-        nets[name] = compile_network(load_network(path))
-        monkeypatch.undo()
-        # a parsed label yields the node's own state, so row keys compare by
-        # identity; the only value comparison is the parser's lookup
-        assert calls["eq"] <= len(set(_row_labels(data))), name
-        if name == "canonical":
-            # once when the row goes into its table, plus each state's compiled index
-            assert components <= calls["hash"] <= components + 5 * len(spec.nodes)
-            assert calls["eq"] == 0
-
-    for net in nets.values():
-        assert net.spec == spec
-        for table in net.spec.tables.values():
-            for key in table.rows:
-                for pid, state in zip(table.parent_order, key):
-                    assert any(state is s for s in net.states[pid])
-
-
 def _factor_bytes(net):
     return [(f.scope, f.values.shape, f.values.tobytes()) for f in net.factors]
 
@@ -544,6 +501,16 @@ def test_semantic_problems_are_left_to_validate(accident_spec):
     }
     spec = network_from_dict(data)
     assert any("does not match" in str(v) for v in validate(spec))
+
+    # so is a parent listed twice
+    data = _fixture_dict(accident_spec)
+    labels = accident_spec.node("HI").state_labels()
+    data["cpts"]["PD"]["parents"] = ["HI", "HI"]
+    data["cpts"]["PD"]["rows"] = {
+        f"{a}|{b}": [0.9, 0.05, 0.05] for a, b in itertools.product(labels, labels)
+    }
+    spec = network_from_dict(data)
+    assert [str(v) for v in validate(spec)] == ["cpt PD: parent_order lists a parent twice"]
 
 
 def test_load_network_reports_json_position(tmp_path):

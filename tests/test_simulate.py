@@ -322,6 +322,24 @@ def test_evaluate_empty_tier():
     # roots and leaves still work on a two-node chain
     assert evaluate(net, "root", trials=5, seed=1).revealed == ("A",)
     assert evaluate(net, "leaf", trials=5, seed=1).revealed == ("B",)
+    # a lone node is its own tier, and revealing it leaves nothing to score
+    alone = NetworkSpec("alone", "hour", (a,), (), {"A": spec.tables["A"]})
+    with pytest.raises(EmptyTierError) as info:
+        evaluate(compile_network(alone), "root", trials=5)
+    assert str(info.value) == "revealing the root tier leaves no hidden node to score"
+
+
+@pytest.mark.parametrize("tier", ["roots", "intermediates"])
+def test_a_revealed_instantaneous_tier_resolves_to_the_sampled_states(accident_net, tier):
+    # as under root-observed and intermediate-observed
+    revealed = getattr(node_tiers(accident_net.spec), tier)
+    for t in range(1000):
+        trajectory = sample_trajectory(accident_net, trial_seed(0, t))
+        session = open_session(accident_net)
+        for event in reveal_events(accident_net, trajectory, revealed):
+            session = session.observe(event)
+        assert not session.pending and not session.inconsistent
+        assert session.resolved_evidence == {n: trajectory.state_of(n) for n in revealed}
 
 
 def test_evaluate_report_formats(accident_net):
