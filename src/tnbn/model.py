@@ -27,6 +27,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 from .errors import RangeOverflowError, UnknownNodeError, UnknownStateError
 
 ROW_SUM_TOLERANCE = 1e-9
+# beyond this many absent rows, validate reports one count, not each row
+MAX_LISTED_MISSING_ROWS = 1000
 
 # Reserved by the model-file / CLI / event-log grammars (state keys use
 # "value@[lo,hi]" and "|"-joined parent tuples; evidence uses "node=state").
@@ -481,18 +483,40 @@ def _table_violations(spec: NetworkSpec, node: NodeSpec) -> list[Violation]:
     if child_enum is None:
         return out
 
-    expected = set(itertools.product(*enums))
-    valid = table.rows.items()
-    if table.rows.keys() != expected:
-        for key in sorted(expected - table.rows.keys(), key=repr):
+    rows = table.rows
+    size = math.prod(map(len, enums))
+    if size <= len(rows) + MAX_LISTED_MISSING_ROWS:
+        expected = set(itertools.product(*enums))
+        inside = expected if rows.keys() == expected else rows.keys() & expected
+    else:
+        # too many tuples to build (and more than the limit missing): keep
+        # the rows whose key lies in the product
+        pools = [set(e) for e in enums]
+        inside = {
+            key for key in rows
+            if isinstance(key, tuple) and len(key) == len(pools)
+            and all(map(set.__contains__, pools, key))
+        }
+    missing = size - len(inside)
+    valid = rows.items()
+    if missing or len(inside) != len(rows):
+        if missing > MAX_LISTED_MISSING_ROWS:
             out.append(
-                Violation(subject, f"missing row for parent states {_key_text(spec, table, key)}")
+                Violation(
+                    subject,
+                    f"has {len(rows)} rows for {size} parent-state tuples; {missing} are missing",
+                )
             )
-        for key in sorted(table.rows.keys() - expected, key=repr):
+        else:
+            for key in sorted(set(itertools.product(*enums)) - rows.keys(), key=repr):
+                out.append(
+                    Violation(subject, f"missing row for parent states {_key_text(spec, table, key)}")
+                )
+        for key in sorted(rows.keys() - inside, key=repr):
             out.append(
                 Violation(subject, f"unexpected row for parent states {_key_text(spec, table, key)}")
             )
-        valid = [(key, probs) for key, probs in valid if key in expected]
+        valid = [(key, probs) for key, probs in valid if key in inside]
     bad_rows: list[tuple[tuple[NodeState, ...], str]] = []
     for key, probs in valid:
         if len(probs) != len(child_enum):

@@ -16,9 +16,9 @@ Sessions are immutable; `observe` returns the extended session.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
     DuplicateObservationError,
@@ -31,18 +31,18 @@ from .inference import CompiledNetwork, Distribution, Evidence, marginals
 from .model import NodeKind, NodeSpec, NodeState, TimeInterval, format_time, resolve_interval
 
 
-@dataclass(frozen=True)
-class ObservedEvent:
-    """A report that `node` took `value` at absolute time `tc`."""
+class ObservedEvent(NamedTuple):
+    """A report that `node` took `value` at absolute time `tc`; a plain
+    (node, value, tc) tuple."""
 
     node: str
     value: str
     tc: float
 
 
-@dataclass(frozen=True)
-class ResolvedObservation:
-    """An observation fixed to a concrete node state.
+class ResolvedObservation(NamedTuple):
+    """An observation fixed to a concrete node state; a plain
+    (state, tc, window) tuple.
 
     `window` is the absolute-time span implied by a resolved interval
     (None for default states and instantaneous nodes).
@@ -154,8 +154,9 @@ class Session:
         if not math.isfinite(event.tc):
             raise ValueError(f"event time of {event.node!r} must be finite, got {event.tc}")
         node = self.net.spec.node(event.node)
-        legal = ([node.default_value] if node.default_value is not None else []) + list(node.values)
-        if event.value not in legal:
+        default = node.default_value
+        if event.value not in node.values and (default is None or event.value != default):
+            legal = ([default] if default is not None else []) + list(node.values)
             raise UnknownStateError(node.id, event.value, legal)
         if any(e.node == event.node for e in self.events):
             raise DuplicateObservationError(
@@ -166,7 +167,7 @@ class Session:
         held = self.pending
         resolved = dict(self.resolved)
         inconsistent = list(self.inconsistent)
-        assertion = event.value == node.default_value
+        assertion = event.value == default
         if assertion or node.kind is NodeKind.INSTANTANEOUS:
             resolved[node.id] = ResolvedObservation(NodeState(event.value), event.tc)
         elif anchor is None:
@@ -184,12 +185,7 @@ class Session:
             held_node = self.net.spec.node(anchor.node)
             self._resolve_timed(resolved, inconsistent, held_node, anchor, event.tc)
 
-        return replace(
-            self,
-            events=self.events + (event,),
-            resolved=resolved,
-            inconsistent=tuple(inconsistent),
-        )
+        return Session(self.net, self.events + (event,), resolved, tuple(inconsistent))
 
     def _resolve_timed(
         self,

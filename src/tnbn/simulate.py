@@ -2,9 +2,10 @@
 
 A trajectory is one complete ancestral sample of the network, each temporal
 change stamped with a concrete time drawn uniformly inside its interval. The
-sampler draws each node's state by inverse CDF on one uniform, from the
-cumulative tables that the compiled network reads off its CPT factors (built
-on first use), indexed by the parents' sampled state positions. The harness
+sampler draws each node's state by inverse CDF on one uniform: it bisects
+the node's CDF row in the compiled network's per-network sampling table
+(float lists read off the CPT factors on first use), picked by the parents'
+sampled state positions. The harness
 replays part of a trajectory into a session as timed events, asks for
 forecasts, and scores them against the hidden remainder, so the session
 layer (anchoring noise included) is part of what gets measured.
@@ -12,21 +13,24 @@ layer (anchoring noise included) is part of what gets measured.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import EmptyTierError
 from .inference import CompiledNetwork, Distribution
-from .model import NetworkSpec, NodeKind, NodeState
+from .model import NetworkSpec, NodeState
 from .session import ObservedEvent, open_session
 
 
-@dataclass(frozen=True)
-class TrajectoryEntry:
-    """One node's sampled state; `time` is None for no-change states."""
+class TrajectoryEntry(NamedTuple):
+    """One node's sampled state; `time` is None for no-change states.
+
+    A plain (node, state, time) tuple: it hashes and compares as that tuple.
+    """
 
     node: str
     state: NodeState
@@ -35,7 +39,8 @@ class TrajectoryEntry:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A complete sampled world, in node declaration order."""
+    """A complete sampled world, in node declaration order (so entry `i`
+    belongs to the node on axis `i` of the compiled network)."""
 
     entries: tuple[TrajectoryEntry, ...]
     seed: int
@@ -51,6 +56,11 @@ class Trajectory:
         return self.entry(node_id).state
 
 
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
     """Ancestral sampling; deterministic in `seed`.
 
@@ -58,24 +68,18 @@ def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
     drawn uniformly inside the sampled interval; the default state has no
     time at all.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
-    cdfs = net.cdfs
+    random, uniform = rng.random, rng.uniform
     pos = [0] * len(net.node_ids)  # sampled state positions, by axis
     entries: list[Optional[TrajectoryEntry]] = [None] * len(pos)
-    for nid in net.topo:
-        i = net.axes[nid]
-        node = net.spec.node(nid)
-        cdf = cdfs[i][tuple(pos[j] for j in net.factors[i].scope if j != i)]
-        pos[i] = int(cdf.searchsorted(rng.random(), side="right"))
-        picked = net.states[nid][pos[i]]
-        if node.kind is not NodeKind.TEMPORAL:
-            time = 0.0
-        elif picked.interval_index is None:
-            time = None
-        else:
-            iv = node.intervals[picked.interval_index]
-            time = float(rng.uniform(iv.lo, iv.hi))
-        entries[i] = TrajectoryEntry(nid, picked, time)
+    for nid, axis, parents, row, states, bounds, still in net.sampling_table:
+        for j in parents:  # the CDF row under the parents' sampled states
+            row = row[pos[j]]
+        # the first entry above the uniform: what `Generator.choice` picks
+        k = pos[axis] = bisect_right(row, random())
+        iv = bounds[k]
+        entries[axis] = TrajectoryEntry(nid, states[k], still if iv is None else uniform(*iv))
     return Trajectory(tuple(entries), seed)
 
 
@@ -178,6 +182,7 @@ class EvalReport:
 
 
 def trial_seed(seed: int, trial: int) -> int:
+    _check_seed(seed)
     return int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
 
 
@@ -191,14 +196,15 @@ def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[
     events: list[tuple[bool, float, int, ObservedEvent]] = []
     for nid in revealed:
         node = net.spec.node(nid)
-        entry = trajectory.entry(nid)
+        axis = net.index(nid)
+        entry = trajectory.entries[axis]
         asserted = node.default_value is not None and entry.state.value == node.default_value
         if asserted:
             rng = node.temporal_range
             tc = rng.hi if rng is not None else 0.0
         else:
             tc = entry.time if entry.time is not None else 0.0
-        events.append((asserted, tc, net.index(nid), ObservedEvent(nid, entry.state.value, tc)))
+        events.append((asserted, tc, axis, ObservedEvent(nid, entry.state.value, tc)))
     events.sort(key=lambda item: item[:3])
     return [e for *_, e in events]
 
@@ -215,12 +221,14 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_seed(seed)
     condition, revealed = _tier_for(condition, node_tiers(net.spec))
     if not revealed:
         raise EmptyTierError(
             f"this network has no {condition.removesuffix('-observed')} tier to reveal"
         )
     hidden = tuple(n for n in net.node_ids if n not in revealed)
+    hidden_axes = [net.axes[n] for n in hidden]
     if not hidden:
         raise EmptyTierError(
             f"revealing the {condition.removesuffix('-observed')} tier leaves "
@@ -246,7 +254,8 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
                 {s: (accuracy_score(d, s), rbs_score(d, s)) for s in d.states}
                 for d in (forecasts[n].distribution for n in hidden)
             ]
-        pairs.append([by_state[trajectory.state_of(n)] for n, by_state in zip(hidden, scored[key])])
+        entries = trajectory.entries
+        pairs.append([by_state[entries[a].state] for a, by_state in zip(hidden_axes, scored[key])])
     # one row of hidden-node scores per trial and metric, each averaged as
     # np.mean averages a list
     means = np.ascontiguousarray(np.transpose(pairs, (0, 2, 1))).mean(axis=-1)

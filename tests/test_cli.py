@@ -431,6 +431,15 @@ def test_simulate_without_trials_exits_1(model_path, capsys, trials):
     assert "trials must be at least 1" in err
 
 
+@pytest.mark.parametrize("command", [["simulate", "-n", "2"], ["evaluate", "-c", "leaf", "-n", "2"]])
+def test_a_negative_seed_exits_1_naming_the_seed(model_path, capsys, command):
+    name, *options = command
+    assert tnbn.cli.main([name, model_path, *options, "-s", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_evaluate_table(model_path):
     result = run_cli("evaluate", model_path, "-c", "root", "-n", "20", "-s", "2")
     assert result.returncode == 0

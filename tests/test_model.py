@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from tnbn import (
     AllenRelation,
     ConditionalTable,
+    InvalidNetworkError,
     NetworkSpec,
     NodeKind,
     NodeSpec,
@@ -14,6 +17,7 @@ from tnbn import (
     UnknownNodeError,
     UnknownStateError,
     allen_relation,
+    compile_network,
     interval_layout,
     resolve_interval,
     state_enumeration,
@@ -459,6 +463,45 @@ def test_validate_rows():
     tables = {**base.tables, "C": ConditionalTable("C", ("B",), rows)}
     spec = _tiny_net(nodes=base.nodes + (c,), edges=base.edges + (("B", "C"),), tables=tables)
     assert _messages(spec) == ["cpt C: unexpected row for parent states (B='x')"]
+
+
+def _short_table_net(counts, keys):
+    """X under one parent per entry of `counts`, each with that many values;
+    X's table holds one row per key, a tuple of value indices."""
+    parents = [
+        NodeSpec(f"P{i}", NodeKind.INSTANTANEOUS, tuple(f"v{k}" for k in range(n)))
+        for i, n in enumerate(counts)
+    ]
+    x = NodeSpec("X", NodeKind.INSTANTANEOUS, ("a", "b"))
+    tables = {p.id: ConditionalTable(p.id, (), {(): (1 / len(p.values),) * len(p.values)}) for p in parents}
+    rows = {tuple(NodeState(f"v{k}") for k in key): (0.5, 0.5) for key in keys}
+    tables["X"] = ConditionalTable("X", tuple(p.id for p in parents), rows)
+    edges = tuple((p.id, "X") for p in parents)
+    return NetworkSpec("short", "unit", (*parents, x), edges, tables)
+
+
+def test_a_short_table_under_a_huge_parent_product_gets_one_count():
+    spec = _short_table_net([10] * 6, [(k,) * 6 for k in range(3)])
+    want = ["cpt X: has 3 rows for 1000000 parent-state tuples; 999997 are missing"]
+    start = time.perf_counter()
+    assert _messages(spec) == want
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(InvalidNetworkError) as err:
+        compile_network(spec)
+    assert [str(v) for v in err.value.violations] == want
+
+
+def test_missing_rows_are_listed_up_to_a_thousand():
+    # 7 * 11 * 13 = 1001 parent-state tuples
+    listed = _messages(_short_table_net([7, 11, 13], [(0, 0, 0)]))
+    assert len(set(listed)) == len(listed) == 1000
+    assert all(m.startswith("cpt X: missing row for parent states (P0=") for m in listed)
+    # one more missing, and an unexpected row, which is still listed
+    counted = _messages(_short_table_net([7, 11, 13], [(0, 0, 99)]))
+    assert counted == [
+        "cpt X: has 1 rows for 1001 parent-state tuples; 1001 are missing",
+        "cpt X: unexpected row for parent states (P0=v0, P1=v0, P2=v99)",
+    ]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -12,6 +12,8 @@ from tnbn import (
     NodeKind,
     NodeSpec,
     NodeState,
+    ObservedEvent,
+    ResolvedObservation,
     TimeInterval,
     Trajectory,
     TrajectoryEntry,
@@ -27,6 +29,7 @@ from tnbn import (
     state_enumeration,
     trial_seed,
 )
+import tnbn.simulate
 from tnbn.session import Session, open_session
 from tnbn.simulate import reveal_events
 
@@ -139,6 +142,50 @@ def test_cumulative_tables_are_built_on_first_sample(accident_spec):
                 where = dict(zip(table.parent_order, key))
                 got = cdfs[tuple(net.state_index(p, where[p]) for p in parents)]
                 assert got.tolist() == want.tolist()
+
+
+def test_the_sampling_table_is_built_once_and_sampling_reads_no_spec(accident_spec, monkeypatch):
+    net = compile_network(accident_spec)
+    assert "sampling_table" not in vars(net)
+    sample_trajectory(net, trial_seed(3, 0))
+    table = net.sampling_table
+    assert [r.node for r in table] == list(net.topo)
+    assert [r.rows for r in table] == [net.cdfs[r.axis].tolist() for r in table]
+    calls = []
+    original = NetworkSpec.node
+
+    def counted(self, node_id):
+        calls.append(node_id)
+        return original(self, node_id)
+
+    monkeypatch.setattr(NetworkSpec, "node", counted)
+    for t in range(1, 50):
+        sample_trajectory(net, trial_seed(3, t))
+    monkeypatch.undo()
+    assert calls == []
+    assert net.sampling_table is table
+
+
+def test_records_are_plain_tuples():
+    state = NodeState("dilated", 1)
+    for record, plain in (
+        (TrajectoryEntry("PD", state, 4.0), ("PD", state, 4.0)),
+        (ObservedEvent("PD", "dilated", 4.0), ("PD", "dilated", 4.0)),
+        (ResolvedObservation(state, 4.0, (3.0, 9.0)), (state, 4.0, (3.0, 9.0))),
+    ):
+        assert record == plain
+        assert hash(record) == hash(plain)
+    assert ResolvedObservation(state, 4.0).window is None
+
+
+def test_a_negative_seed_is_refused_before_any_trial(accident_net, monkeypatch):
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        trial_seed(-1, 0)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        sample_trajectory(accident_net, -1)
+    monkeypatch.setattr(tnbn.simulate, "sample_trajectory", pytest.fail)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -3$"):
+        evaluate(accident_net, "leaf", 2, seed=-3)
 
 
 def test_trajectory_lookup_by_node(accident_net):
