@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .model import (
     NetworkSpec,
-    NodeKind,
     NodeState,
     state_enumeration,
     toposort,
@@ -114,25 +113,6 @@ def _reduce(f: Factor, idx: int, state_pos: int) -> Factor:
     return Factor(f.scope[:ax] + f.scope[ax + 1:], np.take(f.values, state_pos, axis=ax))
 
 
-class SamplingRow(NamedTuple):
-    """How `sample_trajectory` draws one node, read off the compiled network.
-
-    `rows` holds the node's CDF rows as float lists, nested by the state
-    positions of `parents` (parent axes, in axis order). `bounds` gives, per
-    state position, the interval a change time is drawn from, or None for a
-    state without one; such a state happens at `still` (0.0 for an
-    instantaneous node, None for a no-change state).
-    """
-
-    node: str
-    axis: int
-    parents: tuple[int, ...]
-    rows: list
-    states: tuple[NodeState, ...]
-    bounds: tuple[Optional[tuple[float, float]], ...]
-    still: Optional[float]
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledNetwork:
     """A validated network with per-node state tables and CPT factors.
@@ -161,23 +141,6 @@ class CompiledNetwork:
             probs = np.ascontiguousarray(np.moveaxis(f.values, f.scope.index(i), -1))
             cdf = (probs / probs.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
             out.append(cdf / cdf[..., -1:])
-        return tuple(out)
-
-    @cached_property
-    def sampling_table(self) -> tuple[SamplingRow, ...]:
-        """One `SamplingRow` per node, in `topo` order, its rows taken from
-        `cdfs`. Built on first use: only sampling needs it."""
-        out = []
-        for nid in self.topo:
-            axis = self.axes[nid]
-            node = self.spec.node(nid)
-            states = self.states[nid]
-            spans = [(iv.lo, iv.hi) for iv in node.intervals]
-            bounds = tuple(None if s.interval_index is None else spans[s.interval_index] for s in states)
-            still = None if node.kind is NodeKind.TEMPORAL else 0.0
-            parents = tuple(j for j in self.factors[axis].scope if j != axis)
-            rows = self.cdfs[axis].tolist()
-            out.append(SamplingRow(nid, axis, parents, rows, states, bounds, still))
         return tuple(out)
 
     def index(self, node_id: str) -> int:

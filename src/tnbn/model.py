@@ -485,13 +485,15 @@ def _table_violations(spec: NetworkSpec, node: NodeSpec) -> list[Violation]:
 
     rows = table.rows
     size = math.prod(map(len, enums))
-    if size <= len(rows) + MAX_LISTED_MISSING_ROWS:
-        expected = set(itertools.product(*enums))
-        inside = expected if rows.keys() == expected else rows.keys() & expected
-    else:
-        # too many tuples to build (and more than the limit missing): keep
-        # the rows whose key lies in the product
-        pools = [set(e) for e in enums]
+    # the rows whose key lies in the product, found without enumerating it:
+    # when every key is a tuple of the parents' width (as in every valid
+    # table), one pass over the key columns shows whether all of them do
+    pools = list(map(set, enums))
+    inside = rows.keys()
+    if not (
+        set(map(type, inside)) <= {tuple} and set(map(len, inside)) <= {len(pools)}
+        and all(map(set.issuperset, pools, zip(*inside)))
+    ):
         inside = {
             key for key in rows
             if isinstance(key, tuple) and len(key) == len(pools)
@@ -507,7 +509,7 @@ def _table_violations(spec: NetworkSpec, node: NodeSpec) -> list[Violation]:
                     f"has {len(rows)} rows for {size} parent-state tuples; {missing} are missing",
                 )
             )
-        else:
+        elif missing:
             for key in sorted(set(itertools.product(*enums)) - rows.keys(), key=repr):
                 out.append(
                     Violation(subject, f"missing row for parent states {_key_text(spec, table, key)}")

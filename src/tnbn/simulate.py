@@ -3,8 +3,8 @@
 A trajectory is one complete ancestral sample of the network, each temporal
 change stamped with a concrete time drawn uniformly inside its interval. The
 sampler draws each node's state by inverse CDF on one uniform: it bisects
-the node's CDF row in the compiled network's per-network sampling table
-(float lists read off the CPT factors on first use), picked by the parents'
+the node's CDF row in this module's sampling table for the network (float
+lists read off the CPT factors on its first sample), picked by the parents'
 sampled state positions. The harness
 replays part of a trajectory into a session as timed events, asks for
 forecasts, and scores them against the hidden remainder, so the session
@@ -17,12 +17,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .errors import EmptyTierError
 from .inference import CompiledNetwork, Distribution
-from .model import NetworkSpec, NodeState
+from .model import NetworkSpec, NodeKind, NodeState
 from .session import ObservedEvent, open_session
 
 
@@ -61,6 +62,48 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
+class SamplingRow(NamedTuple):
+    """How `sample_trajectory` draws one node of a compiled network.
+
+    `rows` holds the node's CDF rows as float lists, nested by the state
+    positions of `parents` (parent axes, in axis order). `bounds` gives, per
+    state position, the interval a change time is drawn from, or None for a
+    state without one; such a state happens at `still` (0.0 for an
+    instantaneous node, None for a no-change state).
+    """
+
+    node: str
+    axis: int
+    parents: tuple[int, ...]
+    rows: list
+    states: tuple[NodeState, ...]
+    bounds: tuple[Optional[tuple[float, float]], ...]
+    still: Optional[float]
+
+
+_sampling_tables: WeakKeyDictionary[CompiledNetwork, tuple[SamplingRow, ...]] = WeakKeyDictionary()
+
+
+def sampling_table(net: CompiledNetwork) -> tuple[SamplingRow, ...]:
+    """One `SamplingRow` per node of `net`, in `topo` order, its rows taken
+    from `net.cdfs`. Built on the network's first sample and kept while the
+    network lives."""
+    table = _sampling_tables.get(net)
+    if table is None:
+        out = []
+        for nid in net.topo:
+            axis = net.axes[nid]
+            node = net.spec.node(nid)
+            states = net.states[nid]
+            spans = [(iv.lo, iv.hi) for iv in node.intervals]
+            bounds = tuple(None if s.interval_index is None else spans[s.interval_index] for s in states)
+            still = None if node.kind is NodeKind.TEMPORAL else 0.0
+            parents = tuple(j for j in net.factors[axis].scope if j != axis)
+            out.append(SamplingRow(nid, axis, parents, net.cdfs[axis].tolist(), states, bounds, still))
+        table = _sampling_tables[net] = tuple(out)
+    return table
+
+
 def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
     """Ancestral sampling; deterministic in `seed`.
 
@@ -73,7 +116,7 @@ def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
     random, uniform = rng.random, rng.uniform
     pos = [0] * len(net.node_ids)  # sampled state positions, by axis
     entries: list[Optional[TrajectoryEntry]] = [None] * len(pos)
-    for nid, axis, parents, row, states, bounds, still in net.sampling_table:
+    for nid, axis, parents, row, states, bounds, still in sampling_table(net):
         for j in parents:  # the CDF row under the parents' sampled states
             row = row[pos[j]]
         # the first entry above the uniform: what `Generator.choice` picks
@@ -193,11 +236,14 @@ def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[
     stamped at the end of the node's covered range (a claim that nothing
     happened is only checkable once the whole range has elapsed).
     """
+    entries = trajectory.entries
     events: list[tuple[bool, float, int, ObservedEvent]] = []
     for nid in revealed:
         node = net.spec.node(nid)
         axis = net.index(nid)
-        entry = trajectory.entries[axis]
+        entry = entries[axis] if axis < len(entries) else None
+        if entry is None or entry.node != nid:  # not in axis order: built by hand
+            entry = trajectory.entry(nid)
         asserted = node.default_value is not None and entry.state.value == node.default_value
         if asserted:
             rng = node.temporal_range
@@ -221,7 +267,6 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _check_seed(seed)
     condition, revealed = _tier_for(condition, node_tiers(net.spec))
     if not revealed:
         raise EmptyTierError(

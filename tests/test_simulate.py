@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -31,7 +32,7 @@ from tnbn import (
 )
 import tnbn.simulate
 from tnbn.session import Session, open_session
-from tnbn.simulate import reveal_events
+from tnbn.simulate import reveal_events, sampling_table
 
 from netgen import random_network
 
@@ -146,9 +147,9 @@ def test_cumulative_tables_are_built_on_first_sample(accident_spec):
 
 def test_the_sampling_table_is_built_once_and_sampling_reads_no_spec(accident_spec, monkeypatch):
     net = compile_network(accident_spec)
-    assert "sampling_table" not in vars(net)
+    assert net not in tnbn.simulate._sampling_tables
     sample_trajectory(net, trial_seed(3, 0))
-    table = net.sampling_table
+    table = tnbn.simulate._sampling_tables[net]
     assert [r.node for r in table] == list(net.topo)
     assert [r.rows for r in table] == [net.cdfs[r.axis].tolist() for r in table]
     calls = []
@@ -163,7 +164,11 @@ def test_the_sampling_table_is_built_once_and_sampling_reads_no_spec(accident_sp
         sample_trajectory(net, trial_seed(3, t))
     monkeypatch.undo()
     assert calls == []
-    assert net.sampling_table is table
+    assert sampling_table(net) is table
+    kept = len(tnbn.simulate._sampling_tables)
+    del net
+    gc.collect()
+    assert len(tnbn.simulate._sampling_tables) == kept - 1  # kept while the network lives
 
 
 def test_records_are_plain_tuples():
@@ -309,6 +314,15 @@ def test_reveal_orders_changes_before_assertions(accident_net):
     ]
     events = reveal_events(accident_net, trajectory, ("C", "PD"))
     assert [e.node for e in events] == ["C", "PD"]
+    # entries in another order than the axes are looked up by node
+    shuffled = Trajectory(trajectory.entries[::-1], seed=0)
+    for revealed in (("PD", "VS"), ("C", "PD"), ("HI", "IB")):
+        assert reveal_events(accident_net, shuffled, revealed) == reveal_events(
+            accident_net, trajectory, revealed
+        )
+    short = Trajectory(trajectory.entries[:2], seed=0)
+    with pytest.raises(KeyError):
+        reveal_events(accident_net, short, ("PD",))
 
 
 def test_evaluate_single_trial_has_zero_spread(accident_net):
