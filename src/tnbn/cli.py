@@ -8,6 +8,7 @@ impossible evidence), 2 for files or arguments that cannot be read at all.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -128,25 +129,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     net = compile_network(load_network(args.model))
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
+    trial_seed(args.seed, 0)  # refuses a bad seed before -o is opened
     spec = net.spec
-    lines: list[str] = []
-    for t in range(args.trials):
-        seed = trial_seed(args.seed, t)
-        trajectory = sample_trajectory(net, seed)
-        lines.append(f"# trajectory {t} (seed {seed})")
-        lines.append("node\tstate\ttime")
-        for entry in trajectory.entries:
-            label = spec.node(entry.node).state_label(entry.state)
-            time = "-" if entry.time is None else f"{entry.time:.3f}"
-            lines.append(f"{entry.node}\t{label}\t{time}")
-        lines.append("")
-    text = "\n".join(lines)
+    # each trajectory is written as it is sampled, one blank line between two
+    with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as handle:
+        for t in range(args.trials):
+            seed = trial_seed(args.seed, t)
+            lines = [f"# trajectory {t} (seed {seed})", "node\tstate\ttime"]
+            for entry in sample_trajectory(net, seed).entries:
+                label = spec.node(entry.node).state_label(entry.state)
+                time = "-" if entry.time is None else f"{entry.time:.3f}"
+                lines.append(f"{entry.node}\t{label}\t{time}")
+            handle.write(("\n" if t else "") + "\n".join(lines) + "\n")
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
         print(f"wrote {args.trials} trajectories to {args.out}")
-    else:
-        print(text, end="")
     return 0
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -128,20 +127,6 @@ class CompiledNetwork:
     axes: Mapping[str, int]
     positions: Mapping[str, Mapping[NodeState, int]]
     factors: tuple[Factor, ...]
-
-    @cached_property
-    def cdfs(self) -> tuple[np.ndarray, ...]:
-        """Per node axis, the node's factor with its own axis moved last, so it
-        is indexed by the parents' state positions in axis order, and each row
-        made cumulative as `Generator.choice` makes it, so an inverse-CDF draw
-        on one uniform picks what `choice` would. Built on first use: only
-        sampling needs it."""
-        out = []
-        for i, f in enumerate(self.factors):
-            probs = np.ascontiguousarray(np.moveaxis(f.values, f.scope.index(i), -1))
-            cdf = (probs / probs.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
-            out.append(cdf / cdf[..., -1:])
-        return tuple(out)
 
     def index(self, node_id: str) -> int:
         if node_id not in self.axes:

@@ -31,8 +31,9 @@ ROW_SUM_TOLERANCE = 1e-9
 MAX_LISTED_MISSING_ROWS = 1000
 
 # Reserved by the model-file / CLI / event-log grammars (state keys use
-# "value@[lo,hi]" and "|"-joined parent tuples; evidence uses "node=state").
-_RESERVED_CHARS = set("|@=[],")
+# "value@[lo,hi]" and "|"-joined parent tuples; evidence uses "node=state";
+# an event log drops the rest of a line from "#").
+_RESERVED_CHARS = set("|@=[],#")
 _LABEL_BAD = re.compile(r"\s")
 # the "[lo,hi]" part of a timed state label
 _TIMED_BOUNDS = re.compile(r"\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]")
@@ -378,7 +379,7 @@ def _label_violations(subject: str, what: str, label: str) -> list[Violation]:
             Violation(
                 subject,
                 f"{what} {label!r} contains whitespace or a reserved "
-                "character (one of | @ = [ ] ,)",
+                "character (one of | @ = [ ] , #)",
             )
         )
     return out

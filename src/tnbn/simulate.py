@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 from weakref import WeakKeyDictionary
 
@@ -46,12 +45,12 @@ class Trajectory:
     entries: tuple[TrajectoryEntry, ...]
     seed: int
 
-    @cached_property
-    def _by_node(self) -> dict[str, TrajectoryEntry]:
-        return {e.node: e for e in self.entries}
-
     def entry(self, node_id: str) -> TrajectoryEntry:
-        return self._by_node[node_id]
+        """The node's first entry; KeyError if it has none."""
+        for e in self.entries:
+            if e.node == node_id:
+                return e
+        raise KeyError(node_id)
 
     def state_of(self, node_id: str) -> NodeState:
         return self.entry(node_id).state
@@ -85,9 +84,9 @@ _sampling_tables: WeakKeyDictionary[CompiledNetwork, tuple[SamplingRow, ...]] = 
 
 
 def sampling_table(net: CompiledNetwork) -> tuple[SamplingRow, ...]:
-    """One `SamplingRow` per node of `net`, in `topo` order, its rows taken
-    from `net.cdfs`. Built on the network's first sample and kept while the
-    network lives."""
+    """One `SamplingRow` per node of `net`, in `topo` order: its CPT factor, own
+    axis last, each row made cumulative as `Generator.choice` makes it. Built
+    on the network's first sample and kept while the network lives."""
     table = _sampling_tables.get(net)
     if table is None:
         out = []
@@ -98,8 +97,12 @@ def sampling_table(net: CompiledNetwork) -> tuple[SamplingRow, ...]:
             spans = [(iv.lo, iv.hi) for iv in node.intervals]
             bounds = tuple(None if s.interval_index is None else spans[s.interval_index] for s in states)
             still = None if node.kind is NodeKind.TEMPORAL else 0.0
-            parents = tuple(j for j in net.factors[axis].scope if j != axis)
-            out.append(SamplingRow(nid, axis, parents, net.cdfs[axis].tolist(), states, bounds, still))
+            f = net.factors[axis]
+            parents = tuple(j for j in f.scope if j != axis)
+            probs = np.ascontiguousarray(np.moveaxis(f.values, f.scope.index(axis), -1))
+            cdf = (probs / probs.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
+            rows = (cdf / cdf[..., -1:]).tolist()
+            out.append(SamplingRow(nid, axis, parents, rows, states, bounds, still))
         table = _sampling_tables[net] = tuple(out)
     return table
 
@@ -236,14 +239,11 @@ def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[
     stamped at the end of the node's covered range (a claim that nothing
     happened is only checkable once the whole range has elapsed).
     """
-    entries = trajectory.entries
     events: list[tuple[bool, float, int, ObservedEvent]] = []
     for nid in revealed:
         node = net.spec.node(nid)
         axis = net.index(nid)
-        entry = entries[axis] if axis < len(entries) else None
-        if entry is None or entry.node != nid:  # not in axis order: built by hand
-            entry = trajectory.entry(nid)
+        entry = trajectory.entry(nid)
         asserted = node.default_value is not None and entry.state.value == node.default_value
         if asserted:
             rng = node.temporal_range
@@ -265,6 +265,8 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     Trials that end with the same resolved states and held reports share
     one forecast.
     """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     condition, revealed = _tier_for(condition, node_tiers(net.spec))

@@ -178,6 +178,30 @@ def test_a_duplicated_node_id_is_reported_by_validate(tmp_path, capsys):
     assert "node A: node id declared more than once" in out + err
 
 
+@pytest.mark.parametrize(
+    "node, old, new, code",
+    [
+        # no row key names PD's values, so the file loads and validate reports it
+        ("PD", "dilated", "dilated#2", 1),
+        # HI's and IB's row keys name C's values, so the file cannot be read
+        ("C", "severe", "mild#2", 2),
+    ],
+)
+def test_a_hash_in_a_label_is_refused(model_path, tmp_path, capsys, node, old, new, code):
+    # an event log drops the rest of a line from "#", so "100 C mild#2"
+    # would read as C = mild
+    path = tmp_path / "hash.json"
+    path.write_text(open(model_path).read().replace(f'"{old}"', f'"{new}"'))
+    log = tmp_path / "intake.log"
+    log.write_text(f"100 {node} {new}\n")
+    reason = f"value '{new}' contains whitespace or a reserved character (one of | @ = [ ] , #)"
+    for command in (["validate", str(path)], ["session", str(path), str(log)]):
+        assert tnbn.cli.main(command) == code
+        out, err = capsys.readouterr()
+        assert reason in out + err
+        assert "forecasts:" not in out
+
+
 def test_missing_file_exits_2():
     result = run_cli("validate", "/no/such/file.json")
     assert result.returncode == 2
@@ -421,6 +445,32 @@ def test_simulate_writes_a_file(model_path, tmp_path):
     assert result.returncode == 0
     assert "wrote 3 trajectories" in result.stdout
     assert out.read_text().count("# trajectory") == 3
+
+
+def test_simulate_text_is_the_sampled_trajectories(model_path, tmp_path, capsys):
+    net = tnbn.compile_network(load_network(model_path))
+    blocks = []
+    for t in range(3):
+        seed = tnbn.trial_seed(5, t)
+        lines = [f"# trajectory {t} (seed {seed})", "node\tstate\ttime"]
+        for e in tnbn.sample_trajectory(net, seed).entries:
+            time = "-" if e.time is None else f"{e.time:.3f}"
+            lines.append(f"{e.node}\t{net.spec.node(e.node).state_label(e.state)}\t{time}")
+        blocks.append("\n".join(lines) + "\n")
+    want = "\n".join(blocks)  # one blank line between two trajectories
+    assert tnbn.cli.main(["simulate", model_path, "-n", "3", "-s", "5"]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "runs.tsv"
+    assert tnbn.cli.main(["simulate", model_path, "-n", "3", "-s", "5", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 3 trajectories to {out}\n"
+    assert out.read_text() == want
+
+
+def test_simulate_into_a_directory_exits_2_before_sampling(model_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tnbn.cli, "sample_trajectory", pytest.fail)
+    assert tnbn.cli.main(["simulate", model_path, "-n", "2", "-o", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

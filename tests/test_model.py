@@ -359,6 +359,13 @@ def test_validate_label_charset():
     assert any("reserved" in m for m in _messages(_tiny_net(nodes=(a, _tiny_net().nodes[1]))))
     a = NodeSpec("A", NodeKind.INSTANTANEOUS, ("y@z", "n"))
     assert any("reserved" in m for m in _messages(_tiny_net(nodes=(a, _tiny_net().nodes[1]))))
+    # an event log drops the rest of a line from "#"
+    a = NodeSpec("A#2", NodeKind.INSTANTANEOUS, ("y", "n"))
+    assert any("reserved" in m for m in _messages(_tiny_net(nodes=(a, _tiny_net().nodes[1]))))
+    a = NodeSpec("A", NodeKind.INSTANTANEOUS, ("y#2", "n"))
+    assert "node A: value 'y#2' contains whitespace or a reserved character (one of | @ = [ ] , #)" in (
+        _messages(_tiny_net(nodes=(a, _tiny_net().nodes[1])))
+    )
     a = NodeSpec("", NodeKind.INSTANTANEOUS, ("y", "n"))
     assert "node : node id must be a non-empty string" in _messages(
         _tiny_net(nodes=(a, _tiny_net().nodes[1]))

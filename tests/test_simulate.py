@@ -121,28 +121,38 @@ def test_sampler_draws_the_stream_choice_draws(accident_net):
             assert [(e.node, e.state, e.time) for e in got.entries] == _reference_trajectory(net, seed)
 
 
+def _choice_rows(net, nid):
+    """The node's CDF rows, nested by the parents' state positions in axis
+    order, each built from its CPT row as `Generator.choice` builds it."""
+    parents = sorted(net.spec.parents(nid), key=net.axes.get)
+    table = net.spec.tables[nid]
+    rows = np.full([len(net.states[p]) for p in parents] + [len(net.states[nid])], np.nan)
+    for key, row in table.rows.items():
+        probs = np.asarray(row, dtype=float)
+        want = (probs / probs.sum()).cumsum()
+        want /= want[-1]
+        where = dict(zip(table.parent_order, key))
+        rows[tuple(net.state_index(p, where[p]) for p in parents)] = want
+    return rows.tolist()
+
+
 def test_cumulative_tables_are_built_on_first_sample(accident_spec):
     for spec in (accident_spec, _wide_network()):
         net = compile_network(spec)
-        assert "cdfs" not in vars(net)
+        assert net not in tnbn.simulate._sampling_tables
         sample_trajectory(net, 0)
-        assert len(net.cdfs) == len(net.node_ids)
-        for i, nid in enumerate(net.node_ids):
-            cdfs = net.cdfs[i]
+        table = sampling_table(net)
+        assert sorted(r.axis for r in table) == list(range(len(net.node_ids)))
+        for r in table:
+            rows = np.array(r.rows)
             # indexed by the parents' state positions in axis order
-            parents = sorted(net.spec.parents(nid), key=net.axes.get)
-            assert cdfs.shape == tuple(len(net.states[p]) for p in parents + [nid])
-            assert np.all(cdfs[..., -1] == 1.0)
-            assert np.all(np.diff(cdfs, axis=-1) >= 0.0)
+            parents = sorted(net.spec.parents(r.node), key=net.axes.get)
+            assert r.parents == tuple(net.axes[p] for p in parents)
+            assert rows.shape == tuple(len(net.states[p]) for p in parents + [r.node])
+            assert np.all(rows[..., -1] == 1.0)
+            assert np.all(np.diff(rows, axis=-1) >= 0.0)
             # each row, bit for bit, as `Generator.choice` builds it from the CPT row
-            table = net.spec.tables[nid]
-            for key, row in table.rows.items():
-                probs = np.asarray(row, dtype=float)
-                want = (probs / probs.sum()).cumsum()
-                want /= want[-1]
-                where = dict(zip(table.parent_order, key))
-                got = cdfs[tuple(net.state_index(p, where[p]) for p in parents)]
-                assert got.tolist() == want.tolist()
+            assert r.rows == _choice_rows(net, r.node)
 
 
 def test_the_sampling_table_is_built_once_and_sampling_reads_no_spec(accident_spec, monkeypatch):
@@ -151,7 +161,7 @@ def test_the_sampling_table_is_built_once_and_sampling_reads_no_spec(accident_sp
     sample_trajectory(net, trial_seed(3, 0))
     table = tnbn.simulate._sampling_tables[net]
     assert [r.node for r in table] == list(net.topo)
-    assert [r.rows for r in table] == [net.cdfs[r.axis].tolist() for r in table]
+    assert [r.rows for r in table] == [_choice_rows(net, r.node) for r in table]
     calls = []
     original = NetworkSpec.node
 
@@ -352,6 +362,16 @@ def test_evaluate_rejects_unknown_conditions(accident_net):
         evaluate(accident_net, "sideways", trials=5)
     with pytest.raises(ValueError):
         evaluate(accident_net, "root", trials=0)
+
+
+def test_evaluate_refuses_a_trial_count_that_is_not_an_integer(accident_net, monkeypatch):
+    assert evaluate(accident_net, "leaf", np.int64(2)).trials == 2
+    monkeypatch.setattr(tnbn.simulate, "sample_trajectory", pytest.fail)
+    for trials, shown in ((True, "True"), (2.0, "2.0")):
+        with pytest.raises(ValueError, match=rf"^trials must be an integer, got {shown}$"):
+            evaluate(accident_net, "leaf", trials)
+    with pytest.raises(ValueError, match=r"^trials must be at least 1$"):
+        evaluate(accident_net, "leaf", np.int64(0))
 
 
 def test_evaluate_scores_stay_in_range(accident_net):
