@@ -19,7 +19,7 @@ from .inference import CompiledNetwork, Distribution, compile_network, posterior
 from .model import NetworkSpec, NodeState, format_time, validate
 from .modelfile import load_event_log, load_network
 from .session import Forecast, Session, open_session
-from .simulate import CONDITIONS, evaluate, sample_trajectory, trial_seed
+from .simulate import CONDITIONS, _trajectories, evaluate, sample_trajectory, trial_seed
 
 
 def _window_text(window: tuple[float, float]) -> str:
@@ -133,10 +133,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = net.spec
     # each trajectory is written as it is sampled, one blank line between two
     with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as handle:
-        for t in range(args.trials):
-            seed = trial_seed(args.seed, t)
-            lines = [f"# trajectory {t} (seed {seed})", "node\tstate\ttime"]
-            for entry in sample_trajectory(net, seed).entries:
+        for t, trajectory in enumerate(_trajectories(net, args.seed, args.trials)):
+            lines = [f"# trajectory {t} (seed {trajectory.seed})", "node\tstate\ttime"]
+            for entry in trajectory.entries:
                 label = spec.node(entry.node).state_label(entry.state)
                 time = "-" if entry.time is None else f"{entry.time:.3f}"
                 lines.append(f"{entry.node}\t{label}\t{time}")

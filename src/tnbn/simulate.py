@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -57,8 +57,9 @@ class Trajectory:
 
 
 def _check_seed(seed: int) -> None:
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    # SeedSequence would also read a string, a sequence or None (OS entropy)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 class SamplingRow(NamedTuple):
@@ -108,14 +109,18 @@ def sampling_table(net: CompiledNetwork) -> tuple[SamplingRow, ...]:
 
 
 def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
-    """Ancestral sampling; deterministic in `seed`.
+    """Ancestral sampling from `np.random.default_rng(seed)`, so deterministic
+    in `seed`, a non-negative int or numpy integer (else `ValueError`).
 
     Instantaneous nodes happen at time 0. A temporal change gets a time
     drawn uniformly inside the sampled interval; the default state has no
     time at all.
     """
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    return _sample(net, np.random.default_rng(seed), seed)
+
+
+def _sample(net: CompiledNetwork, rng: np.random.Generator, seed: int) -> Trajectory:
     random, uniform = rng.random, rng.uniform
     pos = [0] * len(net.node_ids)  # sampled state positions, by axis
     entries: list[Optional[TrajectoryEntry]] = [None] * len(pos)
@@ -228,8 +233,75 @@ class EvalReport:
 
 
 def trial_seed(seed: int, trial: int) -> int:
+    """The first word of `SeedSequence([seed, trial])`. Trial `t` of a run
+    seeded `seed` draws from `default_rng(trial_seed(seed, t))`; `evaluate`
+    and `tnbn simulate` derive those generators in blocks, to equal this."""
     _check_seed(seed)
     return int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
+
+
+# SeedSequence's hash constants and PCG64's multiplier (numpy.random; NEP 19
+# keeps both streams stable)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT, _MASK_128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+_BLOCK = 256  # trials derived at once; a power of two, so no block crosses k·2**32
+
+
+def _words(n: int) -> list[int]:
+    """`n` as SeedSequence reads an int: 32-bit words, low first; 0 is [0]."""
+    return [n >> k & 0xFFFFFFFF for k in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _generate_state(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
+    """`SeedSequence(e).generate_state(n_words)` for each row `e` of the
+    entropy columns (uint32 arrays that broadcast), one row per trial."""
+    h, mult = _INIT_A, _MULT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * mult & 0xFFFFFFFF
+        value = value * np.uint32(h)
+        return value ^ value >> _SHIFT
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])) for i in range(4)]
+    # each pool word into each other one, then each word past the pool into each
+    for i, j in [(i, j) for i in range(max(4, len(entropy))) for j in range(4) if i != j]:
+        r = pool[j] * _MIX_L - hashmix(pool[i] if i < 4 else entropy[i]) * _MIX_R
+        pool[j] = r ^ r >> _SHIFT
+    h, mult = _INIT_B, _MULT_B
+    return np.stack([hashmix(pool[i % 4]) for i in range(n_words)], axis=1)
+
+
+def _trial_streams(seed: int, start: int, count: int) -> Iterator[tuple[int, dict]]:
+    """`(trial_seed(seed, t), PCG64(trial_seed(seed, t)).state)` for the
+    trials `t` in `range(start, start + count)`, which must not cross a
+    multiple of 2**32 (so every index has as many words)."""
+    _check_seed(seed)
+    low, high = start & 0xFFFFFFFF, start >> 32
+    entropy = [np.full(1, w, np.uint32) for w in _words(int(seed))]
+    entropy += [np.arange(low, low + count, dtype=np.uint32)]
+    entropy += [np.full(1, w, np.uint32) for w in _words(high) if high]
+    with np.errstate(over="ignore"):
+        seeds = _generate_state(entropy, 1)[:, 0]
+        words = _generate_state([seeds], 8).astype("<u4").view("<u8").tolist()
+    for s, (w0, w1, w2, w3) in zip(seeds.tolist(), words):
+        # PCG64's set-seed: one LCG step from state 0, add the seed, one more step
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK_128
+        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK_128
+        yield s, {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def _trajectories(net: CompiledNetwork, seed: int, trials: int) -> Iterator[Trajectory]:
+    """`sample_trajectory(net, trial_seed(seed, t))` for `t` in
+    `range(trials)`, lazily, each stream set on one reused generator."""
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for start in range(0, trials, _BLOCK):
+        for s, state in _trial_streams(seed, start, min(_BLOCK, trials - start)):
+            bits.state = state
+            yield _sample(net, rng, s)
 
 
 def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[str, ...]) -> list[ObservedEvent]:
@@ -269,6 +341,7 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_seed(seed)
     condition, revealed = _tier_for(condition, node_tiers(net.spec))
     if not revealed:
         raise EmptyTierError(
@@ -286,8 +359,7 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     # The resolved states and the held reports fix the evidence, the scenarios
     # and the targets, hence every forecast: score each signature once.
     scored: dict[tuple, list[dict[NodeState, tuple[float, float]]]] = {}
-    for t in range(trials):
-        trajectory = sample_trajectory(net, trial_seed(seed, t))
+    for trajectory in _trajectories(net, seed, trials):
         session = open_session(net)
         for event in reveal_events(net, trajectory, revealed):
             session = session.observe(event)

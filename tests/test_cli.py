@@ -473,6 +473,17 @@ def test_simulate_into_a_directory_exits_2_before_sampling(model_path, tmp_path,
     assert out == "" and err.startswith("error: ")
 
 
+def test_simulate_refuses_before_opening_the_output_or_sampling(model_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tnbn.simulate, "_sample", pytest.fail)
+    out = tmp_path / "runs.tsv"
+    assert tnbn.cli.main(["simulate", model_path, "-n", "2", "-s", "-1", "-o", str(out)]) == 1
+    assert not out.exists()
+    assert tnbn.cli.main(["simulate", model_path, "-n", "2", "-o", str(tmp_path)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.splitlines()[0] == "error: seed must be a non-negative integer, got -1"
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_simulate_without_trials_exits_1(model_path, capsys, trials):
     assert tnbn.cli.main(["simulate", model_path, "-n", trials]) == 1

@@ -1,5 +1,8 @@
 import gc
+import hashlib
 import itertools
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -30,9 +33,10 @@ from tnbn import (
     state_enumeration,
     trial_seed,
 )
+import tnbn.cli
 import tnbn.simulate
 from tnbn.session import Session, open_session
-from tnbn.simulate import reveal_events, sampling_table
+from tnbn.simulate import _trajectories, _trial_streams, reveal_events, sampling_table
 
 from netgen import random_network
 
@@ -201,6 +205,54 @@ def test_a_negative_seed_is_refused_before_any_trial(accident_net, monkeypatch):
     monkeypatch.setattr(tnbn.simulate, "sample_trajectory", pytest.fail)
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -3$"):
         evaluate(accident_net, "leaf", 2, seed=-3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130, np.uint64(2**64 - 1)])
+def test_batch_streams_equal_the_reference(seed):
+    # 2**64 + 3 with trial 2**32 has 5 words, 2**130 has 6: both take
+    # SeedSequence's mixing of the words past its 4-word pool
+    for start in (0, 2**31, 2**32 - 3, 2**32):
+        for t, (s, state) in enumerate(_trial_streams(seed, start, 3), start):
+            assert s == trial_seed(seed, t)
+            assert state == np.random.PCG64(s).state
+
+
+def test_runs_sample_the_reference_trajectories(accident_net):
+    n = tnbn.simulate._BLOCK + 3  # two blocks
+    want = [sample_trajectory(accident_net, trial_seed(5, t)) for t in range(n)]
+    assert list(_trajectories(accident_net, 5, n)) == want
+
+
+def test_streams_keep_their_fixed_values(capsys):
+    # computed with SeedSequence before the batch derivation existed
+    for seed, t, want in (
+        (0, 0, 2968811710),
+        (9, 1999, 2190091226),
+        (2**32, 2**31, 515127821),
+        (2**64 + 3, 2**32, 1847640136),
+        (2**130, 7, 1704329626),
+    ):
+        assert trial_seed(seed, t) == want
+        assert next(_trial_streams(seed, t, 1))[0] == want
+    model = str(resources.files("tnbn") / "data" / "accident.json")
+    assert tnbn.cli.main(["simulate", model, "-n", "2000", "-s", "9"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ff078eb8fef63d354eadca4ddf5f1e38bace5e5baa4d511889e3463dc63da4fc"
+
+
+@pytest.mark.parametrize("seed", ["7", "0x10", None, True, 7.0, -2, np.int64(-2)])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(accident_net, monkeypatch, seed):
+    monkeypatch.setattr(tnbn.simulate, "_sample", pytest.fail)
+    message = rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    for call in (
+        lambda: trial_seed(seed, 0),
+        lambda: sample_trajectory(accident_net, seed),
+        lambda: evaluate(accident_net, "leaf", 2, seed=seed),
+        lambda: next(_trial_streams(seed, 0, 2)),
+        lambda: next(_trajectories(accident_net, seed, 2)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_trajectory_lookup_by_node(accident_net):
