@@ -19,7 +19,7 @@ from .inference import CompiledNetwork, Distribution, compile_network, posterior
 from .model import NetworkSpec, NodeState, format_time, validate
 from .modelfile import load_event_log, load_network
 from .session import Forecast, Session, open_session
-from .simulate import CONDITIONS, _trajectories, evaluate, sample_trajectory, trial_seed
+from .simulate import CONDITIONS, _trajectories, evaluate, trial_seed
 
 
 def _window_text(window: tuple[float, float]) -> str:

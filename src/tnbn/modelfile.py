@@ -245,6 +245,11 @@ def _parse_row_key(
                 raise ModelFormatError(
                     f"{_row_at(where, key_text)}: parent {pid!r} is not a declared node"
                 )
+            if node._violations:
+                # kept as its text: validate reports the parent and skips
+                # the tables it heads, so the file still gets a full report
+                key.append(NodeState(part))
+                continue
             try:
                 state = parsed[pid, part] = node.parse_state_label(part)
             except (TNBNError, ValueError) as err:

@@ -1,11 +1,17 @@
 """Trajectory sampling and a prediction-quality harness.
 
 A trajectory is one complete ancestral sample of the network, each temporal
-change stamped with a concrete time drawn uniformly inside its interval. The
-sampler draws each node's state by inverse CDF on one uniform: it bisects
-the node's CDF row in this module's sampling table for the network (float
-lists read off the CPT factors on its first sample), picked by the parents'
-sampled state positions. The harness
+change stamped with a concrete time drawn uniformly inside its interval. It
+takes its doubles from its stream in one `Generator.random` call, one per
+node and one more per temporal node (the most it can use; unused ones
+change nothing, as each trajectory has its own stream). Node by node, in
+this module's sampling table (float lists read off the CPT factors on the
+network's first sample), the next double picks the state by bisecting the
+CDF row under the parents' sampled states, as `Generator.choice` would,
+and a timed state's next double `u` gives the time `lo + (hi - lo) * u`,
+as `Generator.uniform(lo, hi)` computes it. That equality is checked on
+x86-64; a numpy built to fuse the multiply-add (aarch64 compilers may)
+could differ in the last bit. The harness
 replays part of a trajectory into a session as timed events, asks for
 forecasts, and scores them against the hidden remainder, so the session
 layer (anchoring noise included) is part of what gets measured.
@@ -56,10 +62,10 @@ class Trajectory:
         return self.entry(node_id).state
 
 
-def _check_seed(seed: int) -> None:
+def _check_natural(name: str, value: int) -> None:
     # SeedSequence would also read a string, a sequence or None (OS entropy)
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 class SamplingRow(NamedTuple):
@@ -67,9 +73,11 @@ class SamplingRow(NamedTuple):
 
     `rows` holds the node's CDF rows as float lists, nested by the state
     positions of `parents` (parent axes, in axis order). `bounds` gives, per
-    state position, the interval a change time is drawn from, or None for a
-    state without one; such a state happens at `still` (0.0 for an
-    instantaneous node, None for a no-change state).
+    state position, the interval a change time is drawn from as a float
+    pair (lo, hi), or None for a state without one; such a state happens at
+    `still` (0.0 for an instantaneous node, None for a no-change state).
+    `still` is None exactly for a temporal node, the only kind that can
+    take a second double.
     """
 
     node: str
@@ -86,8 +94,9 @@ _sampling_tables: WeakKeyDictionary[CompiledNetwork, tuple[SamplingRow, ...]] = 
 
 def sampling_table(net: CompiledNetwork) -> tuple[SamplingRow, ...]:
     """One `SamplingRow` per node of `net`, in `topo` order: its CPT factor, own
-    axis last, each row made cumulative as `Generator.choice` makes it. Built
-    on the network's first sample and kept while the network lives."""
+    axis last, each row made cumulative as `Generator.choice` makes it, and
+    its intervals as the floats `Generator.uniform` reads. Built on the
+    network's first sample and kept while the network lives."""
     table = _sampling_tables.get(net)
     if table is None:
         out = []
@@ -95,7 +104,7 @@ def sampling_table(net: CompiledNetwork) -> tuple[SamplingRow, ...]:
             axis = net.axes[nid]
             node = net.spec.node(nid)
             states = net.states[nid]
-            spans = [(iv.lo, iv.hi) for iv in node.intervals]
+            spans = [(float(iv.lo), float(iv.hi)) for iv in node.intervals]
             bounds = tuple(None if s.interval_index is None else spans[s.interval_index] for s in states)
             still = None if node.kind is NodeKind.TEMPORAL else 0.0
             f = net.factors[axis]
@@ -114,23 +123,37 @@ def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
 
     Instantaneous nodes happen at time 0. A temporal change gets a time
     drawn uniformly inside the sampled interval; the default state has no
-    time at all.
+    time at all. The doubles come from one `Generator.random(m)` call, `m`
+    being nodes plus temporal nodes: in `topo` order, a node's state takes
+    the next one as `Generator.choice` would, and a timed state's time the
+    next one as `Generator.uniform(lo, hi)` would.
     """
-    _check_seed(seed)
-    return _sample(net, np.random.default_rng(seed), seed)
+    _check_natural("seed", seed)
+    table = sampling_table(net)
+    return _sample(table, _draws(table), np.random.default_rng(seed), seed)
 
 
-def _sample(net: CompiledNetwork, rng: np.random.Generator, seed: int) -> Trajectory:
-    random, uniform = rng.random, rng.uniform
-    pos = [0] * len(net.node_ids)  # sampled state positions, by axis
+def _draws(table: tuple[SamplingRow, ...]) -> int:
+    """The most doubles a trajectory can take: one per node, one more per
+    temporal node."""
+    return len(table) + sum(r.still is None for r in table)
+
+
+def _sample(table: tuple[SamplingRow, ...], draws: int, rng: np.random.Generator, seed: int) -> Trajectory:
+    u = iter(rng.random(draws).tolist()).__next__
+    pos = [0] * len(table)  # sampled state positions, by axis
     entries: list[Optional[TrajectoryEntry]] = [None] * len(pos)
-    for nid, axis, parents, row, states, bounds, still in sampling_table(net):
+    for nid, axis, parents, row, states, bounds, still in table:
         for j in parents:  # the CDF row under the parents' sampled states
             row = row[pos[j]]
-        # the first entry above the uniform: what `Generator.choice` picks
-        k = pos[axis] = bisect_right(row, random())
+        # the first entry above the double: what `Generator.choice` picks
+        k = pos[axis] = bisect_right(row, u())
         iv = bounds[k]
-        entries[axis] = TrajectoryEntry(nid, states[k], still if iv is None else uniform(*iv))
+        if iv is None:
+            entries[axis] = TrajectoryEntry(nid, states[k], still)
+        else:  # what `Generator.uniform(lo, hi)` makes of the double
+            lo, hi = iv
+            entries[axis] = TrajectoryEntry(nid, states[k], lo + (hi - lo) * u())
     return Trajectory(tuple(entries), seed)
 
 
@@ -235,8 +258,11 @@ class EvalReport:
 def trial_seed(seed: int, trial: int) -> int:
     """The first word of `SeedSequence([seed, trial])`. Trial `t` of a run
     seeded `seed` draws from `default_rng(trial_seed(seed, t))`; `evaluate`
-    and `tnbn simulate` derive those generators in blocks, to equal this."""
-    _check_seed(seed)
+    and `tnbn simulate` derive those generators in blocks, to equal this.
+    Both arguments must be non-negative ints or numpy integers (else
+    `ValueError`)."""
+    _check_natural("seed", seed)
+    _check_natural("trial", trial)
     return int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
 
 
@@ -278,7 +304,7 @@ def _trial_streams(seed: int, start: int, count: int) -> Iterator[tuple[int, dic
     """`(trial_seed(seed, t), PCG64(trial_seed(seed, t)).state)` for the
     trials `t` in `range(start, start + count)`, which must not cross a
     multiple of 2**32 (so every index has as many words)."""
-    _check_seed(seed)
+    _check_natural("seed", seed)
     low, high = start & 0xFFFFFFFF, start >> 32
     entropy = [np.full(1, w, np.uint32) for w in _words(int(seed))]
     entropy += [np.arange(low, low + count, dtype=np.uint32)]
@@ -296,12 +322,58 @@ def _trial_streams(seed: int, start: int, count: int) -> Iterator[tuple[int, dic
 def _trajectories(net: CompiledNetwork, seed: int, trials: int) -> Iterator[Trajectory]:
     """`sample_trajectory(net, trial_seed(seed, t))` for `t` in
     `range(trials)`, lazily, each stream set on one reused generator."""
+    table = sampling_table(net)
+    draws = _draws(table)
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
     for start in range(0, trials, _BLOCK):
         for s, state in _trial_streams(seed, start, min(_BLOCK, trials - start)):
             bits.state = state
-            yield _sample(net, rng, s)
+            yield _sample(table, draws, rng, s)
+
+
+class _Reveal(NamedTuple):
+    """What the events of one revealed node need from the network: its
+    axis, its default value and the time a no-change assertion is stamped
+    with (the end of its covered range, or 0.0 without one)."""
+
+    node: str
+    axis: int
+    default: Optional[str]
+    end: float
+
+
+_reveal_tables: WeakKeyDictionary[CompiledNetwork, dict[str, _Reveal]] = WeakKeyDictionary()
+
+
+def _reveals(net: CompiledNetwork, revealed: tuple[str, ...]) -> list[_Reveal]:
+    """The `_Reveal` of each revealed node, read off the spec once per
+    network; an unknown node raises `UnknownNodeError`."""
+    table = _reveal_tables.get(net)
+    if table is None:
+        table = _reveal_tables[net] = {}
+        for nid in net.node_ids:
+            node = net.spec.node(nid)
+            span = node.temporal_range
+            table[nid] = _Reveal(nid, net.axes[nid], node.default_value, span.hi if span is not None else 0.0)
+    try:
+        return [table[nid] for nid in revealed]
+    except KeyError as unknown:
+        net.spec.node(unknown.args[0])  # raises UnknownNodeError
+        raise
+
+
+def _events(reveals: list[_Reveal], entries: list[TrajectoryEntry]) -> list[ObservedEvent]:
+    """The events of the revealed nodes, given each one's trajectory entry:
+    changes first, by time, then no-change assertions; ties go by axis."""
+    events = []
+    for (nid, axis, default, end), (_, state, time) in zip(reveals, entries):
+        value = state.value
+        asserted = default is not None and value == default
+        tc = end if asserted else time if time is not None else 0.0
+        events.append((asserted, tc, axis, ObservedEvent(nid, value, tc)))
+    events.sort(key=lambda item: item[:3])
+    return [e for *_, e in events]
 
 
 def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[str, ...]) -> list[ObservedEvent]:
@@ -309,22 +381,12 @@ def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[
 
     Change events come first, ordered by time; no-change assertions follow,
     stamped at the end of the node's covered range (a claim that nothing
-    happened is only checkable once the whole range has elapsed).
+    happened is only checkable once the whole range has elapsed). Entries
+    are looked up by node, so the trajectory's order does not matter; a
+    revealed node it lacks raises KeyError.
     """
-    events: list[tuple[bool, float, int, ObservedEvent]] = []
-    for nid in revealed:
-        node = net.spec.node(nid)
-        axis = net.index(nid)
-        entry = trajectory.entry(nid)
-        asserted = node.default_value is not None and entry.state.value == node.default_value
-        if asserted:
-            rng = node.temporal_range
-            tc = rng.hi if rng is not None else 0.0
-        else:
-            tc = entry.time if entry.time is not None else 0.0
-        events.append((asserted, tc, axis, ObservedEvent(nid, entry.state.value, tc)))
-    events.sort(key=lambda item: item[:3])
-    return [e for *_, e in events]
+    reveals = _reveals(net, revealed)
+    return _events(reveals, [trajectory.entry(nid) for nid in revealed])
 
 
 def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -> EvalReport:
@@ -341,12 +403,14 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _check_seed(seed)
+    _check_natural("seed", seed)
     condition, revealed = _tier_for(condition, node_tiers(net.spec))
     if not revealed:
         raise EmptyTierError(
             f"this network has no {condition.removesuffix('-observed')} tier to reveal"
         )
+    reveals = _reveals(net, revealed)
+    revealed_axes = [r.axis for r in reveals]
     hidden = tuple(n for n in net.node_ids if n not in revealed)
     hidden_axes = [net.axes[n] for n in hidden]
     if not hidden:
@@ -360,8 +424,9 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     # and the targets, hence every forecast: score each signature once.
     scored: dict[tuple, list[dict[NodeState, tuple[float, float]]]] = {}
     for trajectory in _trajectories(net, seed, trials):
+        entries = trajectory.entries
         session = open_session(net)
-        for event in reveal_events(net, trajectory, revealed):
+        for event in _events(reveals, [entries[a] for a in revealed_axes]):
             session = session.observe(event)
         key = (
             frozenset(session.resolved_evidence.items()),
@@ -373,7 +438,6 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
                 {s: (accuracy_score(d, s), rbs_score(d, s)) for s in d.states}
                 for d in (forecasts[n].distribution for n in hidden)
             ]
-        entries = trajectory.entries
         pairs.append([by_state[entries[a].state] for a, by_state in zip(hidden_axes, scored[key])])
     # one row of hidden-node scores per trial and metric, each averaged as
     # np.mean averages a list

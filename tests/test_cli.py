@@ -183,8 +183,9 @@ def test_a_duplicated_node_id_is_reported_by_validate(tmp_path, capsys):
     [
         # no row key names PD's values, so the file loads and validate reports it
         ("PD", "dilated", "dilated#2", 1),
-        # HI's and IB's row keys name C's values, so the file cannot be read
-        ("C", "severe", "mild#2", 2),
+        # HI's and IB's row keys name C's values: they are kept as text, so
+        # the file loads and validate reports C and skips the tables it heads
+        ("C", "severe", "mild#2", 1),
     ],
 )
 def test_a_hash_in_a_label_is_refused(model_path, tmp_path, capsys, node, old, new, code):
@@ -199,6 +200,24 @@ def test_a_hash_in_a_label_is_refused(model_path, tmp_path, capsys, node, old, n
         assert tnbn.cli.main(command) == code
         out, err = capsys.readouterr()
         assert reason in out + err
+        assert "forecasts:" not in out
+
+
+def test_a_hash_in_a_parent_value_is_reported_with_every_other_problem(model_path, tmp_path, capsys):
+    data = json.loads(open(model_path).read().replace('"severe"', '"mild#2"'))
+    data["cpts"]["PD"]["rows"]["false"] = [0.95, 0.025, 0.035]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(data))
+    log = tmp_path / "intake.log"
+    log.write_text("100 HI true\n")
+    reasons = (
+        "node C: value 'mild#2' contains whitespace or a reserved character",
+        "cpt PD: row (HI=false) sums to 1.01, not 1",
+    )
+    for command in (["validate", str(path)], ["session", str(path), str(log)]):
+        assert tnbn.cli.main(command) == 1
+        out, err = capsys.readouterr()
+        assert all(reason in out + err for reason in reasons)
         assert "forecasts:" not in out
 
 
@@ -467,7 +486,7 @@ def test_simulate_text_is_the_sampled_trajectories(model_path, tmp_path, capsys)
 
 
 def test_simulate_into_a_directory_exits_2_before_sampling(model_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(tnbn.cli, "sample_trajectory", pytest.fail)
+    monkeypatch.setattr(tnbn.simulate, "_sample", pytest.fail)
     assert tnbn.cli.main(["simulate", model_path, "-n", "2", "-o", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")

@@ -202,7 +202,7 @@ def test_a_negative_seed_is_refused_before_any_trial(accident_net, monkeypatch):
         trial_seed(-1, 0)
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
         sample_trajectory(accident_net, -1)
-    monkeypatch.setattr(tnbn.simulate, "sample_trajectory", pytest.fail)
+    monkeypatch.setattr(tnbn.simulate, "_sample", pytest.fail)
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -3$"):
         evaluate(accident_net, "leaf", 2, seed=-3)
 
@@ -240,6 +240,23 @@ def test_streams_keep_their_fixed_values(capsys):
     assert digest == "ff078eb8fef63d354eadca4ddf5f1e38bace5e5baa4d511889e3463dc63da4fc"
 
 
+def test_trajectories_and_reports_keep_their_full_precision_values(accident_net):
+    # computed before each trajectory took its doubles in one call; every
+    # time at full precision, unlike the 3 decimals `tnbn simulate` prints
+    digest = hashlib.sha256()
+    for net in (accident_net, compile_network(_wide_network())):
+        for trajectory in _trajectories(net, 9, 2000):
+            for e in trajectory.entries:
+                digest.update(repr((e.node, e.state, e.time)).encode())
+    assert digest.hexdigest() == "ba40573bc892dc6a71a55514fad1f38e1b34e30c54611ff19749f3969c0c689a"
+    digest = hashlib.sha256()
+    for condition in ("root", "intermediate", "leaf"):
+        for seed in (0, 1, 41):
+            r = evaluate(accident_net, condition, 1000, seed)
+            digest.update(repr((r.condition, r.trials, r.revealed, r.accuracy, r.rbs)).encode())
+    assert digest.hexdigest() == "e6c9395cd62de0ec7f351a9942440a92152d2c1b83b4b61976c136451de5c955"
+
+
 @pytest.mark.parametrize("seed", ["7", "0x10", None, True, 7.0, -2, np.int64(-2)])
 def test_a_seed_that_is_not_a_non_negative_integer_is_refused(accident_net, monkeypatch, seed):
     monkeypatch.setattr(tnbn.simulate, "_sample", pytest.fail)
@@ -253,6 +270,14 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_refused(accident_net, monk
     ):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("trial", ["3", "0x10", None, True, 3.0, -1, np.int64(-1)])
+def test_a_trial_that_is_not_a_non_negative_integer_is_refused(trial):
+    # SeedSequence would read "3" as 3 and True as 1
+    message = rf"^trial must be a non-negative integer, got {re.escape(repr(trial))}$"
+    with pytest.raises(ValueError, match=message):
+        trial_seed(0, trial)
 
 
 def test_trajectory_lookup_by_node(accident_net):
@@ -418,7 +443,7 @@ def test_evaluate_rejects_unknown_conditions(accident_net):
 
 def test_evaluate_refuses_a_trial_count_that_is_not_an_integer(accident_net, monkeypatch):
     assert evaluate(accident_net, "leaf", np.int64(2)).trials == 2
-    monkeypatch.setattr(tnbn.simulate, "sample_trajectory", pytest.fail)
+    monkeypatch.setattr(tnbn.simulate, "_sample", pytest.fail)
     for trials, shown in ((True, "True"), (2.0, "2.0")):
         with pytest.raises(ValueError, match=rf"^trials must be an integer, got {shown}$"):
             evaluate(accident_net, "leaf", trials)
