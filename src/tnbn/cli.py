@@ -19,7 +19,7 @@ from .inference import CompiledNetwork, Distribution, compile_network, posterior
 from .model import NetworkSpec, NodeState, format_time, validate
 from .modelfile import load_event_log, load_network
 from .session import Forecast, Session, open_session
-from .simulate import CONDITIONS, _trajectories, evaluate, trial_seed
+from .simulate import CONDITIONS, _trajectories, evaluate
 
 
 def _window_text(window: tuple[float, float]) -> str:
@@ -127,13 +127,11 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     net = compile_network(load_network(args.model))
-    if args.trials < 1:
-        raise ValueError("trials must be at least 1")
-    trial_seed(args.seed, 0)  # refuses a bad seed before -o is opened
+    trajectories = _trajectories(net, args.seed, args.trials)  # checked before -o is opened
     spec = net.spec
     # each trajectory is written as it is sampled, one blank line between two
     with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as handle:
-        for t, trajectory in enumerate(_trajectories(net, args.seed, args.trials)):
+        for t, trajectory in enumerate(trajectories):
             lines = [f"# trajectory {t} (seed {trajectory.seed})", "node\tstate\ttime"]
             for entry in trajectory.entries:
                 label = spec.node(entry.node).state_label(entry.state)

@@ -23,7 +23,7 @@ import math
 import operator
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .errors import ModelFormatError, TNBNError
 from .model import (
@@ -93,7 +93,10 @@ def _is_number(value: Any) -> bool:
 def _number(value: Any, what: str) -> float:
     if not _is_number(value):
         raise ModelFormatError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelFormatError(f"{what} is too large to convert to a float") from None
 
 
 # A CPT row's place in the file is formatted only for an error message, so a
@@ -102,12 +105,11 @@ def _row_at(where: str, key_text: Any) -> str:
     return f"{where}.rows[{key_text!r}]"
 
 
-def _row_error(where: str, key_text: Any, probs_raw: Any) -> str:
+def _row(where: str, key_text: Any, probs_raw: Any) -> tuple[float, ...]:
+    """A row read entry by entry; the first bad entry raises ModelFormatError."""
     at = _row_at(where, key_text)
-    if not isinstance(probs_raw, list):
-        return f"{at} must be a list of probabilities"
-    j, bad = next((j, p) for j, p in enumerate(probs_raw) if not _is_number(p))
-    return f"{at}[{j}] must be a number, got {bad!r}"
+    _expect(isinstance(probs_raw, list), f"{at} must be a list of probabilities")
+    return tuple(_number(p, f"{at}[{j}]") for j, p in enumerate(probs_raw))
 
 
 def network_from_dict(data: Any) -> NetworkSpec:
@@ -191,13 +193,18 @@ def network_from_dict(data: Any) -> NetworkSpec:
             keys = (_parse_row_key(by_id, parsed, parents, t, where) for t in rows_raw)
         rows: dict[tuple[NodeState, ...], tuple[float, ...]] = {}
         for key, (key_text, probs_raw) in zip(keys, rows_raw.items()):
-            # exact ints and floats pass without a Python call per entry; any
-            # other type, bool included, is checked by _is_number
-            if not isinstance(probs_raw, list) or not (
+            # a row of numbers converts in one pass (exact ints and floats with
+            # no Python call per entry); any other row, or one holding an int
+            # too large for a float, is read entry by entry to name the bad one
+            if isinstance(probs_raw, list) and (
                 {int, float}.issuperset(map(type, probs_raw)) or all(map(_is_number, probs_raw))
             ):
-                raise ModelFormatError(_row_error(where, key_text, probs_raw))
-            rows[key] = tuple(map(float, probs_raw))
+                try:
+                    rows[key] = tuple(map(float, probs_raw))
+                    continue
+                except OverflowError:
+                    pass
+            rows[key] = _row(where, key_text, probs_raw)
         tables[child] = ConditionalTable(child, parents, rows)
 
     return NetworkSpec(name, time_unit, tuple(nodes), tuple(edges), tables)
@@ -264,25 +271,53 @@ def save_network(spec: NetworkSpec, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(network_to_dict(spec), indent=2) + "\n")
 
 
-def load_network(path: Union[str, Path]) -> NetworkSpec:
+def _read(path: Union[str, Path], parse: Callable[[str], Any]) -> Any:
+    """`parse` of the file's UTF-8 text. A file that is not UTF-8, or that
+    `parse` refuses, raises ModelFormatError naming the file."""
     path = Path(path)
-    text = path.read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ModelFormatError(
-            f"{path}: line {err.lineno} column {err.colno}: {err.msg}"
-        ) from None
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ModelFormatError(f"{path}: not UTF-8: {err}") from None
     try:
-        return network_from_dict(data)
+        return parse(text)
     except ModelFormatError as err:
         raise ModelFormatError(f"{path}: {err}") from None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's dict; a key given twice raises ModelFormatError (a
+    plain parse would keep the last value without a word)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ModelFormatError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+def _parse_network(text: str) -> NetworkSpec:
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as err:
+        raise ModelFormatError(f"line {err.lineno} column {err.colno}: {err.msg}") from None
+    except RecursionError:
+        raise ModelFormatError("JSON nested too deeply to read") from None
+    except ValueError as err:  # an integer past Python's digit limit
+        raise ModelFormatError(f"cannot read a number: {err}") from None
+    return network_from_dict(data)
+
+
+def load_network(path: Union[str, Path]) -> NetworkSpec:
+    return _read(path, _parse_network)
+
+
 def accident_network() -> NetworkSpec:
     """Load the bundled five-node accident network (data/accident.json)."""
-    text = (resources.files("tnbn") / "data" / "accident.json").read_text()
-    return network_from_dict(json.loads(text))
+    text = (resources.files("tnbn") / "data" / "accident.json").read_text(encoding="utf-8")
+    return _parse_network(text)
 
 
 def parse_event_log(text: str) -> list[ObservedEvent]:
@@ -312,8 +347,4 @@ def parse_event_log(text: str) -> list[ObservedEvent]:
 
 
 def load_event_log(path: Union[str, Path]) -> list[ObservedEvent]:
-    path = Path(path)
-    try:
-        return parse_event_log(path.read_text())
-    except ModelFormatError as err:
-        raise ModelFormatError(f"{path}: {err}") from None
+    return _read(path, parse_event_log)

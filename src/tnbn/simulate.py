@@ -4,17 +4,18 @@ A trajectory is one complete ancestral sample of the network, each temporal
 change stamped with a concrete time drawn uniformly inside its interval. It
 takes its doubles from its stream in one `Generator.random` call, one per
 node and one more per temporal node (the most it can use; unused ones
-change nothing, as each trajectory has its own stream). Node by node, in
-this module's sampling table (float lists read off the CPT factors on the
-network's first sample), the next double picks the state by bisecting the
-CDF row under the parents' sampled states, as `Generator.choice` would,
-and a timed state's next double `u` gives the time `lo + (hi - lo) * u`,
-as `Generator.uniform(lo, hi)` computes it. That equality is checked on
-x86-64; a numpy built to fuse the multiply-add (aarch64 compilers may)
-could differ in the last bit. The harness
-replays part of a trajectory into a session as timed events, asks for
-forecasts, and scores them against the hidden remainder, so the session
-layer (anchoring noise included) is part of what gets measured.
+change nothing, as each trajectory has its own stream). Node by node in
+topological order, in this module's sampling table (float lists read off
+the CPT factors on the network's first sample), the next double picks the
+state by bisecting the CDF row under the parents' sampled states, as
+`Generator.choice` would, and a timed state's next double `u` gives the
+time `lo + (hi - lo) * u`, as `Generator.uniform(lo, hi)` computes it.
+That equality is checked on x86-64; a numpy built to fuse the multiply-add
+(aarch64 compilers may) could differ in the last bit.
+
+The harness replays part of a trajectory into a session as timed events,
+asks for forecasts, and scores them against the hidden remainder, so the
+session layer (anchoring noise included) is part of what gets measured.
 """
 
 from __future__ import annotations
@@ -118,15 +119,13 @@ def sampling_table(net: CompiledNetwork) -> tuple[SamplingRow, ...]:
 
 
 def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
-    """Ancestral sampling from `np.random.default_rng(seed)`, so deterministic
-    in `seed`, a non-negative int or numpy integer (else `ValueError`).
+    """Ancestral sampling from `np.random.default_rng(seed)`, by the rule in
+    this module's docstring, so deterministic in `seed`, a non-negative int
+    or numpy integer (else `ValueError`).
 
     Instantaneous nodes happen at time 0. A temporal change gets a time
     drawn uniformly inside the sampled interval; the default state has no
-    time at all. The doubles come from one `Generator.random(m)` call, `m`
-    being nodes plus temporal nodes: in `topo` order, a node's state takes
-    the next one as `Generator.choice` would, and a timed state's time the
-    next one as `Generator.uniform(lo, hi)` would.
+    time at all.
     """
     _check_natural("seed", seed)
     table = sampling_table(net)
@@ -321,15 +320,26 @@ def _trial_streams(seed: int, start: int, count: int) -> Iterator[tuple[int, dic
 
 def _trajectories(net: CompiledNetwork, seed: int, trials: int) -> Iterator[Trajectory]:
     """`sample_trajectory(net, trial_seed(seed, t))` for `t` in
-    `range(trials)`, lazily, each stream set on one reused generator."""
-    table = sampling_table(net)
-    draws = _draws(table)
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for start in range(0, trials, _BLOCK):
-        for s, state in _trial_streams(seed, start, min(_BLOCK, trials - start)):
-            bits.state = state
-            yield _sample(table, draws, rng, s)
+    `range(trials)`, lazily, each stream set on one reused generator. The
+    trial count (an int or numpy integer, at least 1) and the seed are
+    checked at the call, before any trial is sampled (else `ValueError`)."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    _check_natural("seed", seed)
+
+    def run() -> Iterator[Trajectory]:
+        table = sampling_table(net)
+        draws = _draws(table)
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        for start in range(0, trials, _BLOCK):
+            for s, state in _trial_streams(seed, start, min(_BLOCK, trials - start)):
+                bits.state = state
+                yield _sample(table, draws, rng, s)
+
+    return run()
 
 
 class _Reveal(NamedTuple):
@@ -343,24 +353,15 @@ class _Reveal(NamedTuple):
     end: float
 
 
-_reveal_tables: WeakKeyDictionary[CompiledNetwork, dict[str, _Reveal]] = WeakKeyDictionary()
-
-
 def _reveals(net: CompiledNetwork, revealed: tuple[str, ...]) -> list[_Reveal]:
-    """The `_Reveal` of each revealed node, read off the spec once per
-    network; an unknown node raises `UnknownNodeError`."""
-    table = _reveal_tables.get(net)
-    if table is None:
-        table = _reveal_tables[net] = {}
-        for nid in net.node_ids:
-            node = net.spec.node(nid)
-            span = node.temporal_range
-            table[nid] = _Reveal(nid, net.axes[nid], node.default_value, span.hi if span is not None else 0.0)
-    try:
-        return [table[nid] for nid in revealed]
-    except KeyError as unknown:
-        net.spec.node(unknown.args[0])  # raises UnknownNodeError
-        raise
+    """The `_Reveal` of each revealed node, read off the spec; an unknown
+    node raises `UnknownNodeError`."""
+    out = []
+    for nid in revealed:
+        node = net.spec.node(nid)
+        end = node.intervals[-1].hi if node.intervals else 0.0
+        out.append(_Reveal(nid, net.axes[nid], node.default_value, end))
+    return out
 
 
 def _events(reveals: list[_Reveal], entries: list[TrajectoryEntry]) -> list[ObservedEvent]:
@@ -399,11 +400,7 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     Trials that end with the same resolved states and held reports share
     one forecast.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    _check_natural("seed", seed)
+    trajectories = _trajectories(net, seed, trials)  # checks trials and seed
     condition, revealed = _tier_for(condition, node_tiers(net.spec))
     if not revealed:
         raise EmptyTierError(
@@ -423,7 +420,7 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     # The resolved states and the held reports fix the evidence, the scenarios
     # and the targets, hence every forecast: score each signature once.
     scored: dict[tuple, list[dict[NodeState, tuple[float, float]]]] = {}
-    for trajectory in _trajectories(net, seed, trials):
+    for trajectory in trajectories:
         entries = trajectory.entries
         session = open_session(net)
         for event in _events(reveals, [entries[a] for a in revealed_axes]):

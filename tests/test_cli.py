@@ -234,6 +234,59 @@ def test_unreadable_json_exits_2(tmp_path):
     assert "line 1" in result.stderr
 
 
+def _with_huge_number(model: str, *path) -> str:
+    """The model text with the entry at `path` replaced by 10**400."""
+    data = inner = json.loads(model)
+    *outer, last = path
+    for step in outer:
+        inner = inner[step]
+    inner[last] = "stand-in"
+    return json.dumps(data).replace('"stand-in"', str(10**400))
+
+
+# file name, its content made from the model's text, and what the error
+# line says after the path
+_UNREADABLE_INPUTS = {
+    "model-not-utf8": ("bad.json", lambda m: b"\xff\xfe" + m.encode(), "not UTF-8: 'utf-8' codec"),
+    "log-not-utf8": ("intake.log", lambda m: b"100\tC\tsev\xffre\n", "not UTF-8: 'utf-8' codec"),
+    "deep-nesting": ("bad.json", lambda m: "[" * 200_000 + "]" * 200_000, "JSON nested too deeply"),
+    "long-integer": ("bad.json", lambda m: m.replace('"accident"', "1" * 5000, 1), "cannot read a number"),
+    "huge-bound": (
+        "bad.json",
+        lambda m: _with_huge_number(m, "nodes", 4, "intervals", 0, 0),
+        "nodes[4].intervals[0] is too large to convert to a float",
+    ),
+    "huge-probability": (
+        "bad.json",
+        lambda m: _with_huge_number(m, "cpts", "HI", "rows", "severe", 0),
+        "cpts['HI'].rows['severe'][0] is too large to convert to a float",
+    ),
+    # a second `severe` row for HI, which a plain JSON parse kept in silence
+    "duplicate-row": (
+        "bad.json",
+        lambda m: m.replace('"severe": [\n          0.9,', '"severe": [0.7, 0.3],\n"severe": [0.9,', 1),
+        "duplicate key 'severe'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE_INPUTS))
+def test_an_unreadable_input_file_exits_2_naming_it(case, model_path, tmp_path):
+    if case == "long-integer" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python reads integers of any length")
+    name, make, says = _UNREADABLE_INPUTS[case]
+    path = tmp_path / name
+    text = make(Path(model_path).read_text(encoding="utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if name.endswith(".log"):
+        result = run_cli("session", model_path, str(path))
+    else:
+        result = run_cli("validate", str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {path}: {says}")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
 def test_session_replay(model_path, tmp_path):
     log = tmp_path / "intake.log"
     log.write_text("100\tC\tsevere\n115\tVS\tunstable\n")

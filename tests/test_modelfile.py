@@ -530,6 +530,25 @@ def test_load_network_prefixes_the_path(tmp_path):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("level", ["node", "cpts", "row"])
+def test_a_duplicate_key_is_refused(accident_spec, tmp_path, level):
+    data = _fixture_dict(accident_spec)
+    # a second entry under a stand-in key, renamed in the text; a plain
+    # parse would keep the second value without a word
+    if level == "node":
+        obj, key, second = data["nodes"][0], "id", "X"
+    elif level == "cpts":
+        obj, key, second = data["cpts"], "HI", data["cpts"]["HI"]
+    else:
+        obj, key, second = data["cpts"]["HI"]["rows"], "severe", [0.1, 0.9]
+    obj["stand-in"] = second
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data).replace('"stand-in"', json.dumps(key)), encoding="utf-8")
+    with pytest.raises(ModelFormatError) as info:
+        load_network(path)
+    assert str(info.value) == f"{path}: duplicate key '{key}'"
+
+
 # --- event logs -----------------------------------------------------------------
 
 def test_parse_event_log_whitespace_and_tabs():

@@ -21,6 +21,7 @@ from tnbn import (
     TimeInterval,
     Trajectory,
     TrajectoryEntry,
+    UnknownNodeError,
     UnknownStateError,
     accuracy_score,
     compile_network,
@@ -267,6 +268,8 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_refused(accident_net, monk
         lambda: evaluate(accident_net, "leaf", 2, seed=seed),
         lambda: next(_trial_streams(seed, 0, 2)),
         lambda: next(_trajectories(accident_net, seed, 2)),
+        # refused at the call, not at the first trial
+        lambda: _trajectories(accident_net, seed, 2),
     ):
         with pytest.raises(ValueError, match=message):
             call()
@@ -410,6 +413,8 @@ def test_reveal_orders_changes_before_assertions(accident_net):
     short = Trajectory(trajectory.entries[:2], seed=0)
     with pytest.raises(KeyError):
         reveal_events(accident_net, short, ("PD",))
+    with pytest.raises(UnknownNodeError, match="no node 'XX'"):
+        reveal_events(accident_net, trajectory, ("PD", "XX"))
 
 
 def test_evaluate_single_trial_has_zero_spread(accident_net):
@@ -449,6 +454,9 @@ def test_evaluate_refuses_a_trial_count_that_is_not_an_integer(accident_net, mon
             evaluate(accident_net, "leaf", trials)
     with pytest.raises(ValueError, match=r"^trials must be at least 1$"):
         evaluate(accident_net, "leaf", np.int64(0))
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match=r"^trials must be at least 1$"):
+            _trajectories(accident_net, 0, trials)
 
 
 def test_evaluate_scores_stay_in_range(accident_net):
