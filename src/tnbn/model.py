@@ -76,9 +76,11 @@ class TimeInterval:
 
 
 def format_time(t: float) -> str:
-    """Render a time without a trailing '.0' for whole numbers."""
+    """Render a time without a trailing '.0' for whole numbers below 1e16 in
+    size; any other time as `repr` writes it (so 1e308 is `1e+308`, not its
+    309 digits)."""
     t = float(t)
-    return str(int(t)) if t.is_integer() else repr(t)
+    return str(int(t)) if t.is_integer() and abs(t) < 1e16 else repr(t)
 
 
 def allen_relation(a: TimeInterval, b: TimeInterval) -> AllenRelation:

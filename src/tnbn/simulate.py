@@ -2,16 +2,26 @@
 
 A trajectory is one complete ancestral sample of the network, each temporal
 change stamped with a concrete time drawn uniformly inside its interval. It
-takes its doubles from its stream in one `Generator.random` call, one per
-node and one more per temporal node (the most it can use; unused ones
+takes its doubles from its stream as one `Generator.random` call would, one
+per node and one more per temporal node (the most it can use; unused ones
 change nothing, as each trajectory has its own stream). Node by node in
-topological order, in this module's sampling table (float lists read off
-the CPT factors on the network's first sample), the next double picks the
+topological order, in this module's sampling table (CDF rows read off the
+CPT factors on the network's first sample), the next double picks the
 state by bisecting the CDF row under the parents' sampled states, as
 `Generator.choice` would, and a timed state's next double `u` gives the
 time `lo + (hi - lo) * u`, as `Generator.uniform(lo, hi)` computes it.
 That equality is checked on x86-64; a numpy built to fuse the multiply-add
 (aarch64 compilers may) could differ in the last bit.
+
+`sample_trajectory` is the reference: one trajectory from
+`default_rng(seed)`, one scalar pass. A run (`evaluate`, `tnbn simulate`)
+samples a block of trials per numpy pass instead, with the same result bit
+for bit. It derives each trial's PCG64 stream (SeedSequence's mixing, then
+PCG64's set-seed) and steps it on uint64 limb arrays, each double being
+`(x >> 11) * 2**-53` of PCG64's XSL-RR output x, as `Generator.random`
+makes it. Each node's state is then the count of CDF entries <= u in the
+row each trial's parents pick (`bisect_right`, as a row never decreases),
+and a timed state takes that trial's next double.
 
 The harness replays part of a trajectory into a session as timed events,
 asks for forecasts, and scores them against the hidden remainder, so the
@@ -70,15 +80,17 @@ def _check_natural(name: str, value: int) -> None:
 
 
 class SamplingRow(NamedTuple):
-    """How `sample_trajectory` draws one node of a compiled network.
+    """How `sample_trajectory` and a run draw one node of a compiled network.
 
-    `rows` holds the node's CDF rows as float lists, nested by the state
-    positions of `parents` (parent axes, in axis order). `bounds` gives, per
-    state position, the interval a change time is drawn from as a float
-    pair (lo, hi), or None for a state without one; such a state happens at
-    `still` (0.0 for an instantaneous node, None for a no-change state).
-    `still` is None exactly for a temporal node, the only kind that can
-    take a second double.
+    `cdf` holds the node's CDF rows, indexed by the state positions of
+    `parents` (parent axes, in axis order), and `rows` the same rows as
+    nested float lists. `bounds` gives, per state position, the interval a
+    change time is drawn from as a float pair (lo, hi), or None for a state
+    without one; such a state happens at `still` (0.0 for an instantaneous
+    node, None for a no-change state). `still` is None exactly for a
+    temporal node, the only kind that can take a second double. `lo` and
+    `span` hold each interval's lo and hi - lo by state position (0.0 for a
+    state without one).
     """
 
     node: str
@@ -88,6 +100,9 @@ class SamplingRow(NamedTuple):
     states: tuple[NodeState, ...]
     bounds: tuple[Optional[tuple[float, float]], ...]
     still: Optional[float]
+    cdf: np.ndarray
+    lo: np.ndarray
+    span: np.ndarray
 
 
 _sampling_tables: WeakKeyDictionary[CompiledNetwork, tuple[SamplingRow, ...]] = WeakKeyDictionary()
@@ -112,8 +127,10 @@ def sampling_table(net: CompiledNetwork) -> tuple[SamplingRow, ...]:
             parents = tuple(j for j in f.scope if j != axis)
             probs = np.ascontiguousarray(np.moveaxis(f.values, f.scope.index(axis), -1))
             cdf = (probs / probs.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
-            rows = (cdf / cdf[..., -1:]).tolist()
-            out.append(SamplingRow(nid, axis, parents, rows, states, bounds, still))
+            cdf = cdf / cdf[..., -1:]
+            lo = np.array([b[0] if b else 0.0 for b in bounds])
+            span = np.array([b[1] - b[0] if b else 0.0 for b in bounds])
+            out.append(SamplingRow(nid, axis, parents, cdf.tolist(), states, bounds, still, cdf, lo, span))
         table = _sampling_tables[net] = tuple(out)
     return table
 
@@ -126,23 +143,16 @@ def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
     Instantaneous nodes happen at time 0. A temporal change gets a time
     drawn uniformly inside the sampled interval; the default state has no
     time at all.
+
+    This is the one-trajectory reference that runs equal: one scalar pass,
+    each state found by bisecting its CDF row.
     """
     _check_natural("seed", seed)
     table = sampling_table(net)
-    return _sample(table, _draws(table), np.random.default_rng(seed), seed)
-
-
-def _draws(table: tuple[SamplingRow, ...]) -> int:
-    """The most doubles a trajectory can take: one per node, one more per
-    temporal node."""
-    return len(table) + sum(r.still is None for r in table)
-
-
-def _sample(table: tuple[SamplingRow, ...], draws: int, rng: np.random.Generator, seed: int) -> Trajectory:
-    u = iter(rng.random(draws).tolist()).__next__
+    u = iter(np.random.default_rng(seed).random(_draws(table)).tolist()).__next__
     pos = [0] * len(table)  # sampled state positions, by axis
     entries: list[Optional[TrajectoryEntry]] = [None] * len(pos)
-    for nid, axis, parents, row, states, bounds, still in table:
+    for nid, axis, parents, row, states, bounds, still, *_ in table:
         for j in parents:  # the CDF row under the parents' sampled states
             row = row[pos[j]]
         # the first entry above the double: what `Generator.choice` picks
@@ -154,6 +164,12 @@ def _sample(table: tuple[SamplingRow, ...], draws: int, rng: np.random.Generator
             lo, hi = iv
             entries[axis] = TrajectoryEntry(nid, states[k], lo + (hi - lo) * u())
     return Trajectory(tuple(entries), seed)
+
+
+def _draws(table: tuple[SamplingRow, ...]) -> int:
+    """The most doubles a trajectory can take: one per node, one more per
+    temporal node."""
+    return len(table) + sum(r.still is None for r in table)
 
 
 def accuracy_score(predicted: Distribution, actual: NodeState) -> float:
@@ -265,12 +281,15 @@ def trial_seed(seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
 
 
-# SeedSequence's hash constants and PCG64's multiplier (numpy.random; NEP 19
-# keeps both streams stable)
+# SeedSequence's hash constants and PCG64's multiplier, as (high, low) 64-bit
+# limbs (numpy.random; NEP 19 keeps both streams stable)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_PCG_MULT, _MASK_128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-_BLOCK = 256  # trials derived at once; a power of two, so no block crosses k·2**32
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_LO_1, _MULT_LO_0 = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)  # its 32-bit halves
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+_LOW_32 = np.uint64(0xFFFFFFFF)
+_BLOCK = 1024  # trials sampled at once; a power of two, so no block crosses k·2**32
 
 
 def _words(n: int) -> list[int]:
@@ -299,10 +318,30 @@ def _generate_state(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
     return np.stack([hashmix(pool[i % 4]) for i in range(n_words)], axis=1)
 
 
-def _trial_streams(seed: int, start: int, count: int) -> Iterator[tuple[int, dict]]:
-    """`(trial_seed(seed, t), PCG64(trial_seed(seed, t)).state)` for the
-    trials `t` in `range(start, start + count)`, which must not cross a
-    multiple of 2**32 (so every index has as many words)."""
+# A 128-bit PCG64 number (a state, an increment) is a pair of uint64 arrays
+# (high, low); sums and products wrap mod 2**128 as uint64 wraps mod 2**64.
+
+def _add(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _step(state: tuple, inc: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step, `state * mult + inc`. The high half of the low
+    limbs' product comes from their 32-bit halves."""
+    hi, lo = state
+    l0, l1 = lo & _LOW_32, lo >> _U32
+    p00, p01, p10 = l0 * _MULT_LO_0, l0 * _MULT_LO_1, l1 * _MULT_LO_0
+    mid = (p00 >> _U32) + (p01 & _LOW_32) + (p10 & _LOW_32)
+    carry = l1 * _MULT_LO_1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    return _add((carry + lo * _MULT_HI + hi * _MULT_LO, lo * _MULT_LO), inc)
+
+
+def _trial_streams(seed: int, start: int, count: int) -> tuple[np.ndarray, tuple, tuple]:
+    """For the trials `t` in `range(start, start + count)`, which must not
+    cross a multiple of 2**32 (so every index has as many words): the
+    `trial_seed(seed, t)` (uint32), and the state and increment of
+    `PCG64(trial_seed(seed, t))` as (high, low) uint64 arrays."""
     _check_natural("seed", seed)
     low, high = start & 0xFFFFFFFF, start >> 32
     entropy = [np.full(1, w, np.uint32) for w in _words(int(seed))]
@@ -310,34 +349,82 @@ def _trial_streams(seed: int, start: int, count: int) -> Iterator[tuple[int, dic
     entropy += [np.full(1, w, np.uint32) for w in _words(high) if high]
     with np.errstate(over="ignore"):
         seeds = _generate_state(entropy, 1)[:, 0]
-        words = _generate_state([seeds], 8).astype("<u4").view("<u8").tolist()
-    for s, (w0, w1, w2, w3) in zip(seeds.tolist(), words):
+        w0, w1, w2, w3 = _generate_state([seeds], 8).astype("<u4").view("<u8").T
         # PCG64's set-seed: one LCG step from state 0, add the seed, one more step
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK_128
-        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK_128
-        yield s, {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        inc = (w2 << _U1 | w3 >> _U63, w3 << _U1 | _U1)
+        state = _step(_add(inc, (w0, w1)), inc)
+    return seeds, state, inc
 
 
-def _trajectories(net: CompiledNetwork, seed: int, trials: int) -> Iterator[Trajectory]:
-    """`sample_trajectory(net, trial_seed(seed, t))` for `t` in
-    `range(trials)`, lazily, each stream set on one reused generator. The
-    trial count (an int or numpy integer, at least 1) and the seed are
-    checked at the call, before any trial is sampled (else `ValueError`)."""
+def _doubles(state: tuple, inc: tuple, draws: int) -> np.ndarray:
+    """`Generator(PCG64).random(draws)` from each stream (one row each):
+    step the LCG, take the XSL-RR output x, and `(x >> 11) * 2**-53`."""
+    out = np.empty((len(state[0]), draws))
+    with np.errstate(over="ignore"):
+        for d in range(draws):
+            state = _step(state, inc)
+            x = state[0] ^ state[1]
+            turn = state[0] >> _U58
+            out[:, d] = (x >> turn | x << (_U64 - turn & _U63)) >> _U11
+    return out * 2.0**-53
+
+
+def _sample(table: tuple[SamplingRow, ...], draws: int, seed: int, start: int, count: int) -> tuple[list, list, list]:
+    """Trials `range(start, start + count)` of a run seeded `seed`, each
+    drawn as `sample_trajectory(net, trial_seed(seed, t))` draws it: their
+    trial seeds, and per trial the sampled state position and time of each
+    node, by axis (a time is 0.0 where the state has none), as lists."""
+    seeds, state, inc = _trial_streams(seed, start, count)
+    u = _doubles(state, inc, draws)
+    trial = np.arange(count)
+    cursor = np.zeros(count, np.intp)  # each trial's next double
+    pos = np.zeros((count, len(table)), np.intp)
+    times = np.zeros((count, len(table)))
+    for r in table:
+        # the count of CDF entries <= u: `bisect_right`, as a row never decreases
+        below = r.cdf[tuple(pos[:, j] for j in r.parents)] <= u[trial, cursor, None]
+        k = pos[:, r.axis] = below.sum(axis=1)
+        cursor += 1
+        if r.still is None:  # a timed state (span > 0) takes the next double
+            span = r.span[k]
+            times[:, r.axis] = r.lo[k] + span * u[trial, cursor]
+            cursor += span > 0.0
+    return seeds.tolist(), pos.tolist(), times.tolist()
+
+
+def _blocks(net: CompiledNetwork, seed: int, trials: int) -> Iterator[tuple[list, list, list]]:
+    """`_sample`'s blocks of trials `range(trials)`, lazily. The trial count
+    (an int or numpy integer, at least 1) and the seed are checked at the
+    call, before any trial is sampled (else `ValueError`)."""
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _check_natural("seed", seed)
 
-    def run() -> Iterator[Trajectory]:
+    def run() -> Iterator[tuple[list, list, list]]:
         table = sampling_table(net)
         draws = _draws(table)
-        bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
         for start in range(0, trials, _BLOCK):
-            for s, state in _trial_streams(seed, start, min(_BLOCK, trials - start)):
-                bits.state = state
-                yield _sample(table, draws, rng, s)
+            yield _sample(table, draws, seed, start, min(_BLOCK, trials - start))
+
+    return run()
+
+
+def _trajectories(net: CompiledNetwork, seed: int, trials: int) -> Iterator[Trajectory]:
+    """`sample_trajectory(net, trial_seed(seed, t))` for `t` in
+    `range(trials)`, lazily, read off `_blocks` (so checked as it checks)."""
+    blocks = _blocks(net, seed, trials)
+
+    def run() -> Iterator[Trajectory]:
+        rows = sorted(sampling_table(net), key=lambda r: r.axis)
+        for seeds, positions, times in blocks:
+            for s, pos, time in zip(seeds, positions, times):
+                entries = (
+                    TrajectoryEntry(r.node, r.states[k], r.still if r.bounds[k] is None else t)
+                    for r, k, t in zip(rows, pos, time)
+                )
+                yield Trajectory(tuple(entries), s)
 
     return run()
 
@@ -364,11 +451,12 @@ def _reveals(net: CompiledNetwork, revealed: tuple[str, ...]) -> list[_Reveal]:
     return out
 
 
-def _events(reveals: list[_Reveal], entries: list[TrajectoryEntry]) -> list[ObservedEvent]:
-    """The events of the revealed nodes, given each one's trajectory entry:
-    changes first, by time, then no-change assertions; ties go by axis."""
+def _events(reveals: list[_Reveal], sampled: list[tuple[NodeState, Optional[float]]]) -> list[ObservedEvent]:
+    """The events of the revealed nodes, given each one's sampled state and
+    time: changes first, by time, then no-change assertions; ties go by
+    axis."""
     events = []
-    for (nid, axis, default, end), (_, state, time) in zip(reveals, entries):
+    for (nid, axis, default, end), (state, time) in zip(reveals, sampled):
         value = state.value
         asserted = default is not None and value == default
         tc = end if asserted else time if time is not None else 0.0
@@ -387,7 +475,7 @@ def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[
     revealed node it lacks raises KeyError.
     """
     reveals = _reveals(net, revealed)
-    return _events(reveals, [trajectory.entry(nid) for nid in revealed])
+    return _events(reveals, [trajectory.entry(nid)[1:] for nid in revealed])
 
 
 def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -> EvalReport:
@@ -400,14 +488,14 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     Trials that end with the same resolved states and held reports share
     one forecast.
     """
-    trajectories = _trajectories(net, seed, trials)  # checks trials and seed
+    blocks = _blocks(net, seed, trials)  # checks trials and seed
     condition, revealed = _tier_for(condition, node_tiers(net.spec))
     if not revealed:
         raise EmptyTierError(
             f"this network has no {condition.removesuffix('-observed')} tier to reveal"
         )
     reveals = _reveals(net, revealed)
-    revealed_axes = [r.axis for r in reveals]
+    revealed_states = [(r.axis, net.states[r.node]) for r in reveals]
     hidden = tuple(n for n in net.node_ids if n not in revealed)
     hidden_axes = [net.axes[n] for n in hidden]
     if not hidden:
@@ -418,24 +506,25 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     # per trial, the (accuracy, rbs) pair of each hidden node
     pairs: list[list[tuple[float, float]]] = []
     # The resolved states and the held reports fix the evidence, the scenarios
-    # and the targets, hence every forecast: score each signature once.
-    scored: dict[tuple, list[dict[NodeState, tuple[float, float]]]] = {}
-    for trajectory in trajectories:
-        entries = trajectory.entries
-        session = open_session(net)
-        for event in _events(reveals, [entries[a] for a in revealed_axes]):
-            session = session.observe(event)
-        key = (
-            frozenset(session.resolved_evidence.items()),
-            tuple((e.node, e.value) for e in session.pending),
-        )
-        if key not in scored:
-            forecasts = session.predict().forecasts
-            scored[key] = [
-                {s: (accuracy_score(d, s), rbs_score(d, s)) for s in d.states}
-                for d in (forecasts[n].distribution for n in hidden)
-            ]
-        pairs.append([by_state[entries[a].state] for a, by_state in zip(hidden_axes, scored[key])])
+    # and the targets, hence every forecast: score each signature once, as
+    # one (accuracy, rbs) pair per hidden node and state position.
+    scored: dict[tuple, list[list[tuple[float, float]]]] = {}
+    for _, positions, times in blocks:
+        for pos, time in zip(positions, times):
+            session = open_session(net)
+            for event in _events(reveals, [(states[pos[a]], time[a]) for a, states in revealed_states]):
+                session = session.observe(event)
+            key = (
+                frozenset(session.resolved_evidence.items()),
+                tuple((e.node, e.value) for e in session.pending),
+            )
+            if key not in scored:
+                forecasts = session.predict().forecasts
+                scored[key] = [  # a forecast lists the node's states in position order
+                    [(accuracy_score(d, s), rbs_score(d, s)) for s in d.states]
+                    for d in (forecasts[n].distribution for n in hidden)
+                ]
+            pairs.append([scores[pos[a]] for a, scores in zip(hidden_axes, scored[key])])
     # one row of hidden-node scores per trial and metric, each averaged as
     # np.mean averages a list
     means = np.ascontiguousarray(np.transpose(pairs, (0, 2, 1))).mean(axis=-1)

@@ -387,6 +387,18 @@ def test_session_reports_inconsistencies(model_path, tmp_path):
     assert "outside the covered range" in result.stdout
 
 
+def test_session_prints_a_huge_time_in_exponent_form(model_path, tmp_path, capsys):
+    log = tmp_path / "intake.log"
+    log.write_text("100 C severe\n1e308 VS unstable\n")
+    assert tnbn.cli.main(["session", model_path, str(log)]) == 0
+    out = capsys.readouterr().out
+    assert (
+        "  VS = unstable at 1e+308: elapsed time 1e+308 lies outside the covered range [0,60] of node 'VS'\n"
+        in out
+    )
+    assert max(len(line) for line in out.splitlines()) < 100
+
+
 def test_session_diagnose_lists_causes_only(model_path, tmp_path):
     log = tmp_path / "intake.log"
     log.write_text("115 VS unstable\n")

@@ -24,6 +24,7 @@ from tnbn import (
     toposort,
     validate,
 )
+from tnbn.model import format_time
 
 from netgen import random_network
 
@@ -159,6 +160,19 @@ def test_state_labels_round_trip(accident_spec):
         assert vs.parse_state_label(vs.state_label(state)) == state
     assert vs.state_label(NodeState("unstable", 1)) == "unstable@[10,30]"
     assert vs.parse_state_label("unstable@[10, 30]") == NodeState("unstable", 1)
+
+
+def test_a_huge_whole_time_keeps_the_exponent_form():
+    assert [format_time(t) for t in (0.0, 100, -3.0, 2.5, 9999999999999998.0)] == [
+        "0", "100", "-3", "2.5", "9999999999999998",
+    ]
+    assert [format_time(t) for t in (1e16, -1e16, 1.5e17, 1e308)] == ["1e+16", "-1e+16", "1.5e+17", "1e+308"]
+    # such a bound's label takes the exponent form, and any spelling loads by value
+    node = NodeSpec("T", NodeKind.TEMPORAL, ("x",), "base", (iv(0, 1e20), iv(1e20, 1e308)))
+    state = NodeState("x", 1)
+    assert node.state_label(state) == "x@[1e+20,1e+308]"
+    assert node.parse_state_label(node.state_label(state)) == state
+    assert node.parse_state_label("x@[100000000000000000000, 1e308]") == state
 
 
 def test_parse_state_label_rejects_unknown(accident_spec):

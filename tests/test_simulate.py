@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import re
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -37,7 +38,7 @@ from tnbn import (
 import tnbn.cli
 import tnbn.simulate
 from tnbn.session import Session, open_session
-from tnbn.simulate import _trajectories, _trial_streams, reveal_events, sampling_table
+from tnbn.simulate import _doubles, _trajectories, _trial_streams, reveal_events, sampling_table
 
 from netgen import random_network
 
@@ -208,20 +209,93 @@ def test_a_negative_seed_is_refused_before_any_trial(accident_net, monkeypatch):
         evaluate(accident_net, "leaf", 2, seed=-3)
 
 
+def _pcg64_states(state, inc):
+    """The `PCG64.state` dicts of 128-bit states and increments given as
+    (high, low) uint64 arrays."""
+    for hi, lo, inc_hi, inc_lo in zip(*(w.tolist() for w in (*state, *inc))):
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130, np.uint64(2**64 - 1)])
 def test_batch_streams_equal_the_reference(seed):
     # 2**64 + 3 with trial 2**32 has 5 words, 2**130 has 6: both take
     # SeedSequence's mixing of the words past its 4-word pool
     for start in (0, 2**31, 2**32 - 3, 2**32):
-        for t, (s, state) in enumerate(_trial_streams(seed, start, 3), start):
+        seeds, limbs, inc = _trial_streams(seed, start, 3)
+        for t, s, state in zip(itertools.count(start), seeds.tolist(), _pcg64_states(limbs, inc)):
             assert s == trial_seed(seed, t)
             assert state == np.random.PCG64(s).state
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130])
+def test_block_doubles_equal_the_generator_draws(seed):
+    draws = 9
+    block = tnbn.simulate._BLOCK
+    for start in (0, 2**31, 2**32 - block, 2**32):
+        seeds, state, inc = _trial_streams(seed, start, block)
+        rows = _doubles(state, inc, draws).tolist()
+        for t, row in enumerate(rows, start):
+            rng = np.random.Generator(np.random.PCG64(trial_seed(seed, t)))
+            assert row == rng.random(draws).tolist()
+
+
+def _with_zeros(spec, rng):
+    """`spec` with one probability of most CPT rows set to 0 (the row
+    renormalized), so some CDF rows repeat a value."""
+    tables = {}
+    for nid, table in spec.tables.items():
+        rows = {}
+        for key, row in table.rows.items():
+            row = np.array(row)
+            if len(row) > 2 and rng.random() < 0.8:
+                row[int(rng.integers(len(row) - 1))] = 0.0
+            rows[key] = tuple(row / row.sum())
+        tables[nid] = ConditionalTable(nid, table.parent_order, rows)
+    return NetworkSpec(spec.name, spec.time_unit, spec.nodes, spec.edges, tables)
+
+
 def test_runs_sample_the_reference_trajectories(accident_net):
-    n = tnbn.simulate._BLOCK + 3  # two blocks
-    want = [sample_trajectory(accident_net, trial_seed(5, t)) for t in range(n)]
-    assert list(_trajectories(accident_net, 5, n)) == want
+    rng = np.random.default_rng(23)
+    nets = [accident_net, compile_network(_wide_network())]
+    nets += [compile_network(_with_zeros(random_network(rng, n_nodes=8, edge_share=0.7), rng)) for _ in range(4)]
+    n = tnbn.simulate._BLOCK + 40  # two blocks
+    mixed = 0
+    for net in nets:
+        want = [sample_trajectory(net, trial_seed(5, t)) for t in range(n)]
+        assert list(_trajectories(net, 5, n)) == want
+        first = [e for t in want[: tnbn.simulate._BLOCK] for e in t.entries]
+        still = {e.node for e in first if e.time is None}
+        mixed += bool(still & {e.node for e in first if e.time not in (None, 0.0)})
+    # what the networks cover: a node with three parents, a zero-probability
+    # state inside a CDF row, and a node both timed and unchanged in one block
+    rows = [r for net in nets for r in sampling_table(net)]
+    assert any(len(r.parents) >= 3 for r in rows)
+    assert any(np.any(np.diff(r.cdf[..., :-1], axis=-1) == 0.0) for r in rows)
+    assert mixed >= 3
+
+
+def test_a_run_keeps_no_sampling_table_after_its_network(monkeypatch, capsys):
+    compiled = []
+
+    def recorded(spec):
+        net = compile_network(spec)
+        compiled.append(weakref.ref(net))
+        return net
+
+    monkeypatch.setattr(tnbn.cli, "compile_network", recorded)
+    gc.collect()
+    kept = len(tnbn.simulate._sampling_tables)
+    model = str(resources.files("tnbn") / "data" / "accident.json")
+    assert tnbn.cli.main(["evaluate", model, "-c", "leaf", "-n", "300"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(compiled) == 1 and compiled[0]() is None
+    assert len(tnbn.simulate._sampling_tables) == kept
 
 
 def test_streams_keep_their_fixed_values(capsys):
@@ -234,7 +308,7 @@ def test_streams_keep_their_fixed_values(capsys):
         (2**130, 7, 1704329626),
     ):
         assert trial_seed(seed, t) == want
-        assert next(_trial_streams(seed, t, 1))[0] == want
+        assert _trial_streams(seed, t, 1)[0][0] == want
     model = str(resources.files("tnbn") / "data" / "accident.json")
     assert tnbn.cli.main(["simulate", model, "-n", "2000", "-s", "9"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -266,7 +340,7 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_refused(accident_net, monk
         lambda: trial_seed(seed, 0),
         lambda: sample_trajectory(accident_net, seed),
         lambda: evaluate(accident_net, "leaf", 2, seed=seed),
-        lambda: next(_trial_streams(seed, 0, 2)),
+        lambda: _trial_streams(seed, 0, 2),
         lambda: next(_trajectories(accident_net, seed, 2)),
         # refused at the call, not at the first trial
         lambda: _trajectories(accident_net, seed, 2),
