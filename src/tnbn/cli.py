@@ -26,6 +26,14 @@ def _window_text(window: tuple[float, float]) -> str:
     return f"[{format_time(window[0])},{format_time(window[1])}]"
 
 
+def _sampled_time_text(t: Optional[float]) -> str:
+    """A sampled time to three decimals; '-' for none, and `repr` from 1e16
+    in size, as `format_time` switches (so 1e300 is `1e+300`, not 304 digits)."""
+    if t is None:
+        return "-"
+    return f"{t:.3f}" if abs(t) < 1e16 else repr(t)
+
+
 def _print_distribution(
     spec: NetworkSpec,
     dist: Distribution,
@@ -135,8 +143,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             lines = [f"# trajectory {t} (seed {trajectory.seed})", "node\tstate\ttime"]
             for entry in trajectory.entries:
                 label = spec.node(entry.node).state_label(entry.state)
-                time = "-" if entry.time is None else f"{entry.time:.3f}"
-                lines.append(f"{entry.node}\t{label}\t{time}")
+                lines.append(f"{entry.node}\t{label}\t{_sampled_time_text(entry.time)}")
             handle.write(("\n" if t else "") + "\n".join(lines) + "\n")
     if args.out:
         print(f"wrote {args.trials} trajectories to {args.out}")

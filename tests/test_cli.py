@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -548,6 +549,20 @@ def test_simulate_text_is_the_sampled_trajectories(model_path, tmp_path, capsys)
     assert tnbn.cli.main(["simulate", model_path, "-n", "3", "-s", "5", "-o", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote 3 trajectories to {out}\n"
     assert out.read_text() == want
+
+
+def test_simulate_prints_a_huge_time_in_exponent_form(model_path, tmp_path, capsys):
+    data = json.loads(open(model_path).read())
+    data["nodes"][4]["intervals"][2] = [30, 1e300]  # VS's last interval
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert tnbn.cli.main(["simulate", str(path), "-n", "20", "-s", "5"]) == 0
+    times = [line.split("\t")[2] for line in capsys.readouterr().out.splitlines() if line.startswith("VS\t")]
+    huge = [t for t in times if "e+" in t]
+    assert huge and all(float(t) >= 30 and repr(float(t)) == t for t in huge)
+    # any other time keeps three decimals
+    assert all(t == "-" or re.fullmatch(r"\d+\.\d{3}", t) for t in times if t not in huge)
+    assert max(map(len, times)) < 30
 
 
 def test_simulate_into_a_directory_exits_2_before_sampling(model_path, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import json
 import re
 import weakref
 from importlib import resources
@@ -690,3 +691,51 @@ def test_evaluate_equals_forecasting_every_trial(accident_net):
             assert evaluate(net, condition, trials=120, seed=8) == want
             checked += 1
     assert checked >= 6
+
+
+def _count_observes(monkeypatch):
+    calls = []
+    original = Session.observe
+
+    def counted(self, event):
+        calls.append(event)
+        return original(self, event)
+
+    monkeypatch.setattr(Session, "observe", counted)
+    return calls
+
+
+def _distinct_revealed_events(net, revealed, seed, trials):
+    """The event list of each distinct revealed sample of a run."""
+    samples = {}
+    for t in range(trials):
+        trajectory = sample_trajectory(net, trial_seed(seed, t))
+        samples.setdefault(tuple(trajectory.entry(n)[1:] for n in revealed), trajectory)
+    return [reveal_events(net, trajectory, revealed) for trajectory in samples.values()]
+
+
+@pytest.mark.parametrize("condition, observes", [("root", 3), ("intermediate", 12), ("leaf", None)])
+def test_evaluate_replays_each_distinct_revealed_sample_once(accident_net, monkeypatch, condition, observes):
+    calls = _count_observes(monkeypatch)
+    report = evaluate(accident_net, condition, trials=1000, seed=0)
+    monkeypatch.undo()
+    events = _distinct_revealed_events(accident_net, report.revealed, 0, 1000)
+    assert sorted(calls) == sorted(e for es in events for e in es)
+    if observes is not None:  # root C and intermediate HI, IB: instantaneous, at time 0
+        assert len(calls) == observes
+
+
+def test_evaluate_shares_replays_across_blocks(accident_net, monkeypatch):
+    trials = tnbn.simulate._BLOCK + 76  # two blocks
+    revealed = node_tiers(accident_net.spec).roots
+    calls = _count_observes(monkeypatch)
+    report = evaluate(accident_net, "root", trials, seed=8)
+    monkeypatch.undo()
+    assert len(calls) == len(_distinct_revealed_events(accident_net, revealed, 8, trials)) == 3
+    assert report == _reference_evaluate(accident_net, "root", revealed, trials, seed=8)
+
+
+def test_a_numpy_trial_count_reports_as_json(accident_net):
+    report = evaluate(accident_net, "leaf", np.int64(5))
+    assert type(report.trials) is int and report.trials == 5
+    assert json.loads(json.dumps(report.to_json_dict()))["trials"] == 5
