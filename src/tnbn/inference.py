@@ -2,14 +2,16 @@
 enumeration oracle.
 
 Every query is first pruned to its targets, its evidence and their
-ancestors (every other node is barren and sums out to one). `_plan` then
-derives the elimination from scopes alone: the min-degree order, with the
-first target summed out last as an ordinary bucket (Dechter 1996), each
+ancestors (every other node is barren and sums out to one). Its factors are
+each CPT factor, reduced once by its single-state evidence as a view of the
+read-only array, and a 0/1 mask per set of states. `_plan` derives the
+elimination from their scopes and shapes alone: the min-degree order, with
+the first target summed out last as an ordinary bucket (Dechter 1996), each
 bucket's input slots and message scope, the bucket tree and the buckets on
 paths to the other targets. The factor size guard fires there, before any
-array is touched. `_propagate` reduces the CPT factors by the evidence and
-runs the plan in one numeric pass: bucket elimination forward and, for more
-than one target, Shafer-Shenoy messages backward (Shafer & Shenoy 1990).
+product. `_propagate` runs the plan in one numeric pass: bucket elimination
+forward and, for more than one target, Shafer-Shenoy messages backward
+(Shafer & Shenoy 1990).
 Both passes multiply and sum through one helper, `_contract`. Each forward
 message is divided by its sum, and a running product that sinks below
 2**-500 is rescaled by an exact power of two; the logs of both scales are
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Optional, Union
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -107,11 +109,6 @@ class Factor:
     values: np.ndarray
 
 
-def _reduce(f: Factor, idx: int, state_pos: int) -> Factor:
-    ax = f.scope.index(idx)
-    return Factor(f.scope[:ax] + f.scope[ax + 1:], np.take(f.values, state_pos, axis=ax))
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledNetwork:
     """A validated network with per-node state tables and CPT factors.
@@ -165,6 +162,7 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
         shape = [card[p] for p in table.parent_order] + [card[nid]]
         block = np.array(rows, dtype=float).reshape(shape)
         arr = np.ascontiguousarray(block.transpose(np.argsort(axes)))
+        arr.flags.writeable = False  # queries hold views of it: a write raises
         factors.append(Factor(tuple(sorted(axes)), arr))
 
     order = toposort(spec)
@@ -209,27 +207,21 @@ def _ancestral_axes(net: CompiledNetwork, axes: Iterable[int]) -> list[int]:
 
 
 def _plan(
-    net: CompiledNetwork, kept: list[int], observed: AbstractSet[int], masked: list[int],
-    free: list[int],
+    net: CompiledNetwork, slots: list[Factor], free: list[int]
 ) -> tuple[list[_Step], list[Optional[int]], list[int]]:
-    """The elimination structure of a query, from scopes alone.
+    """The elimination structure of a query, from the scopes and shapes of
+    its `slots` alone; step k's message becomes slot `len(slots) + k`.
 
-    Slots 0, 1, ... are the CPT factors of `kept` reduced by the `observed`
-    axes, then one mask per `masked` axis; step k's message takes the slot
-    after them and all earlier messages. Variables go smallest factor-graph
-    degree first, ties to the lowest node index, and `free[0]` last. Raises
-    FactorSizeError before a product above FACTOR_SIZE_LIMIT cells. Returns
-    the steps, each step's parent (the step its message goes to; None for a
-    scalar one), and, last first, the steps that receive a message backward:
-    those below a tree's top on a path up from a `free[1:]` target's step.
+    Variables go smallest factor-graph degree first, ties to the lowest node
+    index, and `free[0]` last. Raises FactorSizeError before a product above
+    FACTOR_SIZE_LIMIT cells. Returns the steps, each step's parent (the step
+    its message goes to; None for a scalar one), and, last first, the steps
+    that receive a message backward: those below a tree's top on a path up
+    from a `free[1:]` target's step.
     """
-    scopes = [net.factors[k].scope for k in kept]
-    scopes = [
-        s if observed.isdisjoint(s) else tuple([i for i in s if i not in observed]) for s in scopes
-    ]
-    scopes += [(a,) for a in masked]
-    base = len(scopes)
-    pool = {s: scope for s, scope in enumerate(scopes) if scope}
+    size = {i: n for f in slots for i, n in zip(f.scope, np.shape(f.values))}
+    base = len(slots)
+    pool = {s: f.scope for s, f in enumerate(slots) if f.scope}
     steps: list[_Step] = []
     parent: list[Optional[int]] = []
     while pool:
@@ -247,7 +239,7 @@ def _plan(
             if best is None or len(neighbors) < best[0]:
                 best = (len(neighbors), v, neighbors)
         _, v, neighbors = best
-        cells = math.prod(len(net.states[net.node_ids[i]]) for i in neighbors | {v})
+        cells = math.prod(size[i] for i in neighbors | {v})
         if cells > FACTOR_SIZE_LIMIT:
             raise FactorSizeError(net.node_ids[v], len(neighbors) + 1, cells, FACTOR_SIZE_LIMIT)
         inputs = tuple([s for s, scope in pool.items() if v in scope])
@@ -322,18 +314,17 @@ def _propagate(
     observed = {a: p for a, p in ev_pos.items() if isinstance(p, int)}
     masks = {a: p for a, p in ev_pos.items() if not isinstance(p, int)}
     free = [a for a in dict.fromkeys(queries) if a not in observed]
-    kept = _ancestral_axes(net, [*ev_pos, *free])
-    steps, parent, on_path = _plan(net, kept, observed.keys(), list(masks), free)
-
     slots: list[Optional[Factor]] = []
-    for i in kept:
+    for i in _ancestral_axes(net, [*ev_pos, *free]):
         f = net.factors[i]
-        for j, p in observed.items():
-            if j in f.scope:
-                f = _reduce(f, j, p)
+        if not observed.keys().isdisjoint(f.scope):
+            # basic indexing: a view of the CPT's array, not a copy
+            index = tuple([observed.get(j, slice(None)) for j in f.scope])
+            f = Factor(tuple([j for j in f.scope if j not in observed]), f.values[index])
         slots.append(f)
     for a, p in masks.items():
         slots.append(Factor((a,), np.isin(np.arange(len(net.states[net.node_ids[a]])), p) * 1.0))
+    steps, parent, on_path = _plan(net, slots, free)
     log_z = 0.0
     for f in slots:
         if not f.scope:

@@ -272,11 +272,12 @@ def save_network(spec: NetworkSpec, path: Union[str, Path]) -> None:
 
 
 def _read(path: Union[str, Path], parse: Callable[[str], Any]) -> Any:
-    """`parse` of the file's UTF-8 text. A file that is not UTF-8, or that
-    `parse` refuses, raises ModelFormatError naming the file."""
+    """`parse` of the file's UTF-8 text, less one leading byte-order mark (as
+    some editors write). A file that is not UTF-8, or that `parse` refuses,
+    raises ModelFormatError naming the file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise ModelFormatError(f"{path}: not UTF-8: {err}") from None
     try:

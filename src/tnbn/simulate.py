@@ -41,10 +41,10 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .errors import EmptyTierError
+from .errors import EmptyTierError, ZeroProbabilityEvidenceError
 from .inference import CompiledNetwork, Distribution
-from .model import NetworkSpec, NodeKind, NodeState
-from .session import ObservedEvent, open_session
+from .model import NetworkSpec, NodeKind, NodeState, format_time
+from .session import ObservedEvent, Session, open_session
 
 
 class TrajectoryEntry(NamedTuple):
@@ -482,6 +482,24 @@ def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[
     return _events(reveals, [trajectory.entry(nid)[1:] for nid in revealed])
 
 
+def _impossible(condition: str, seed: int, session: Session) -> ZeroProbabilityEvidenceError:
+    """The error for a trial whose replayed events have probability zero:
+    anchoring can resolve a sampled world's events to states the model rules
+    out together. It names the condition, the trial seed and each event."""
+    parts = []
+    for e in session.events:
+        if e.node in session.resolved:
+            label = session.net.spec.node(e.node).state_label(session.resolved[e.node].state)
+            fate = f"resolved to {label}"
+        else:
+            fate = "held" if e in session.pending else "inconsistent"
+        parts.append(f"{e.node}={e.value} at {format_time(e.tc)} {fate}")
+    return ZeroProbabilityEvidenceError(
+        f"{condition}: trial seed {seed} replays events of probability zero under the "
+        f"model: {'; '.join(parts)}"
+    )
+
+
 def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -> EvalReport:
     """Score forecasts of the hidden nodes when one tier is revealed.
 
@@ -493,6 +511,8 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     so a session is replayed once per distinct revealed sample; trials that
     end with the same resolved states and held reports share one forecast,
     so `predict()` runs once per signature. Both memos live for this call.
+    A trial whose replayed events have probability zero raises
+    ZeroProbabilityEvidenceError naming its seed and events.
     """
     blocks = _blocks(net, seed, trials)  # checks trials and seed
     condition, revealed = _tier_for(condition, node_tiers(net.spec))
@@ -518,8 +538,8 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     # The revealed nodes' sampled state positions and times fix the events,
     # hence the session: replay each distinct revealed sample once.
     replayed: dict[tuple, list[list[tuple[float, float]]]] = {}
-    for _, positions, times in blocks:
-        for pos, time in zip(positions, times):
+    for seeds, positions, times in blocks:
+        for seed_t, pos, time in zip(seeds, positions, times):
             sample = tuple((pos[a], time[a]) for a, _ in revealed_states)
             rows = replayed.get(sample)
             if rows is None:
@@ -531,7 +551,10 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
                     tuple((e.node, e.value) for e in session.pending),
                 )
                 if key not in scored:
-                    forecasts = session.predict().forecasts
+                    try:
+                        forecasts = session.predict().forecasts
+                    except ZeroProbabilityEvidenceError:
+                        raise _impossible(condition, seed_t, session) from None
                     scored[key] = [  # a forecast lists the node's states in position order
                         [(accuracy_score(d, s), rbs_score(d, s)) for s in d.states]
                         for d in (forecasts[n].distribution for n in hidden)

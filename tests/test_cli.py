@@ -625,6 +625,16 @@ def test_evaluate_unknown_condition_exits_1(model_path):
     assert "unknown condition" in result.stderr
 
 
+def test_evaluate_names_a_trial_whose_events_are_impossible(tmp_path):
+    from test_simulate import IMPOSSIBLE_TRIAL, _contradicting_leaves
+
+    path = tmp_path / "contradiction.json"
+    save_network(_contradicting_leaves(), path)
+    result = run_cli("evaluate", str(path), "-c", "leaf")
+    assert result.returncode == 1
+    assert result.stderr == f"error: {IMPOSSIBLE_TRIAL}\n"
+
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 

@@ -16,6 +16,7 @@ from tnbn import (
     NodeKind,
     NodeSpec,
     NodeState,
+    ObservedEvent,
     TimeInterval,
     UnknownNodeError,
     UnknownStateError,
@@ -25,6 +26,7 @@ from tnbn import (
     joint_enumerate,
     log_evidence_probability,
     marginals,
+    open_session,
     posterior,
 )
 
@@ -266,6 +268,26 @@ def test_factors_equal_a_cell_by_cell_fill(accident_spec):
             assert factor.values.dtype == ref.dtype
             assert factor.values.flags.c_contiguous
             assert factor.values.tobytes() == ref.tobytes()
+
+
+def test_compiled_factors_are_read_only_and_queries_leave_them_unchanged(accident_net):
+    # a query reads the CPT arrays through views, so a write through one would
+    # change the network; every array refuses it
+    for f in accident_net.factors:
+        with pytest.raises(ValueError):
+            f.values[...] = 0.0
+    before = [f.values.tobytes() for f in accident_net.factors]
+    hard = {"PD": NodeState("dilated", 0)}
+    held = {"VS": [NodeState("unstable", 0), NodeState("unstable", 1)]}
+    for evidence in ({}, hard, held, {**hard, **held, "C": NodeState("severe")}):
+        for nid in accident_net.node_ids:
+            posterior(accident_net, nid, evidence)  # "C" with no evidence: its own slot
+        marginals(accident_net, accident_net.node_ids, evidence)
+        log_evidence_probability(accident_net, evidence)
+    session = open_session(accident_net).observe(ObservedEvent("VS", "unstable", 115))
+    assert session.pending
+    session.predict()
+    assert [f.values.tobytes() for f in accident_net.factors] == before
 
 
 # --- the enumeration oracle -------------------------------------------------
@@ -532,6 +554,49 @@ def test_set_valued_evidence_matches_enumeration(seed):
         assert np.max(np.abs(got[nid].probs - want)) <= 1e-12
 
 
+# --- evidence relations on networks too large for the oracle ----------------------
+
+def assert_same_answers(net, first, second):
+    """Every node's marginal within 1e-12, and log P(e) within 1e-12 relative."""
+    got, want = marginals(net, net.node_ids, first), marginals(net, net.node_ids, second)
+    for nid in net.node_ids:
+        assert np.max(np.abs(got[nid].probs - want[nid].probs)) <= 1e-12
+    assert math.isclose(
+        log_evidence_probability(net, first), log_evidence_probability(net, second),
+        rel_tol=1e-12, abs_tol=1e-12,
+    )
+
+
+# Over seeds 0-2999, 50-150 nodes at this edge share build no product above
+# 1.2M cells, well under FACTOR_SIZE_LIMIT.
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=0, max_value=2_999))
+def test_single_state_and_set_evidence_obey_their_relations(seed):
+    # single-state evidence reduces each factor, a set multiplies in a 0/1
+    # mask: three relations between the two need no oracle
+    rng = np.random.default_rng(seed)
+    net = compile_network(random_network(rng, n_nodes=int(rng.integers(50, 151)), edge_share=0.01))
+    ids = list(net.node_ids)
+    x, *others = [ids[int(i)] for i in rng.choice(len(ids), size=5, replace=False)]
+    # mixed evidence elsewhere: single states, and one set of states
+    evidence = {nid: net.states[nid][int(rng.integers(len(net.states[nid])))] for nid in others[1:]}
+    evidence[others[0]] = list(net.states[others[0]][1:])
+    states = net.states[x]
+    s = states[int(rng.integers(len(states)))]
+    assert_same_answers(net, {**evidence, x: s}, {**evidence, x: [s]})
+    assert_same_answers(net, {**evidence, x: list(states)}, evidence)
+    # P(e, X in A or B) = P(e, X in A) + P(e, X in B) for disjoint non-empty A, B
+    order = [states[int(i)] for i in rng.permutation(len(states))]
+    cut = int(rng.integers(1, len(states)))
+    a, b = order[:cut], order[cut:]
+    both = log_evidence_probability(net, {**evidence, x: a + b})
+    parts = np.logaddexp(
+        log_evidence_probability(net, {**evidence, x: a}),
+        log_evidence_probability(net, {**evidence, x: b}),
+    )
+    assert math.isclose(both, parts, rel_tol=1e-12, abs_tol=1e-12)
+
+
 def test_marginals_eliminate_from_the_ancestral_set_of_all_targets(monkeypatch):
     calls = record_contractions(monkeypatch)
     for seed in range(30):
@@ -668,16 +733,23 @@ def test_factor_size_guard_trips_before_any_product(accident_net, monkeypatch):
     )
     assert calls == []
     # with single-state evidence on PD the same step trips, before any factor
-    # is reduced by the evidence
-    reduced = []
-    reduce = tnbn.inference._reduce
-    monkeypatch.setattr(
-        tnbn.inference, "_reduce", lambda *args: reduced.append(args) or reduce(*args)
-    )
+    # is multiplied; by then PD's CPT is reduced only as a view, not a copy
+    pd = accident_net.index("PD")
+    planned = []
+    plan = tnbn.inference._plan
+
+    def hook(net, slots, free):
+        (reduced,) = [f for f in slots if f.scope == (accident_net.index("HI"),)]
+        assert np.shares_memory(reduced.values, net.factors[pd].values)
+        planned.append(free)
+        return plan(net, slots, free)
+
+    monkeypatch.setattr(tnbn.inference, "_plan", hook)
     with pytest.raises(FactorSizeError) as info:
         posterior(accident_net, "VS", {"PD": NodeState("dilated", 0)})
     assert (info.value.node, info.value.cells) == ("C", 18)
-    assert calls == [] and reduced == []
+    assert calls == [] and len(planned) == 1
+    monkeypatch.setattr(tnbn.inference, "_plan", plan)
     # the root C's prior never touches its barren descendants, so it answers
     assert posterior(accident_net, "C").p(NodeState("severe")) == pytest.approx(0.368, abs=TOL)
     # the largest factor is the next step's, over HI, IB and VS: 2 * 3 * 4

@@ -592,3 +592,24 @@ def test_load_event_log(tmp_path):
     with pytest.raises(ModelFormatError) as info:
         load_event_log(path)
     assert str(path) in str(info.value)
+
+
+# --- a leading byte-order mark ------------------------------------------------------
+
+def test_a_model_file_saved_with_a_byte_order_mark_loads(accident_spec, tmp_path):
+    path = tmp_path / "bom.json"
+    text = (resources.files("tnbn") / "data" / "accident.json").read_text(encoding="utf-8")
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_network(path) == accident_spec
+
+
+def test_an_event_log_saved_with_a_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "bom.log"
+    path.write_text("100\tC\tsevere\n", encoding="utf-8-sig")
+    assert load_event_log(path) == [ObservedEvent("C", "severe", 100.0)]
+    # only one mark is dropped: a second is part of the first timestamp
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with pytest.raises(ModelFormatError) as info:
+        load_event_log(path)
+    assert str(info.value) == f"{path}: line 1: timestamp {chr(0xFEFF) + '100'!r} is not a number"

@@ -25,6 +25,7 @@ from tnbn import (
     TrajectoryEntry,
     UnknownNodeError,
     UnknownStateError,
+    ZeroProbabilityEvidenceError,
     accuracy_score,
     compile_network,
     evaluate,
@@ -739,3 +740,48 @@ def test_a_numpy_trial_count_reports_as_json(accident_net):
     report = evaluate(accident_net, "leaf", np.int64(5))
     assert type(report.trials) is int and report.trials == 5
     assert json.loads(json.dumps(report.to_json_dict()))["trials"] == 5
+
+
+def _contradicting_leaves():
+    """Root C picks both leaves' changes or neither: C=yes gives A up@[0,10]
+    and B up@[10,20], C=no leaves both flat. Anchoring measures the leaves
+    against each other, so two sampled changes can resolve to states the
+    model rules out together."""
+    c = NodeSpec("C", NodeKind.INSTANTANEOUS, ("yes", "no"))
+    intervals = (TimeInterval(0, 10), TimeInterval(10, 20))
+    a, b = (
+        NodeSpec(n, NodeKind.TEMPORAL, ("up",), default_value="flat", intervals=intervals)
+        for n in "AB"
+    )
+    yes, no = (NodeState("yes"),), (NodeState("no"),)
+    tables = {
+        "C": ConditionalTable("C", (), {(): (0.5, 0.5)}),
+        "A": ConditionalTable("A", ("C",), {yes: (0.0, 1.0, 0.0), no: (1.0, 0.0, 0.0)}),
+        "B": ConditionalTable("B", ("C",), {yes: (0.0, 0.0, 1.0), no: (1.0, 0.0, 0.0)}),
+    }
+    return NetworkSpec("contradiction", "minute", (c, a, b), (("C", "A"), ("C", "B")), tables)
+
+
+# at seed 0, trial 0 samples A=up at 7.687 (held as the anchor) and B=up at
+# 12.955, which resolves by the elapsed 5.27 to up@[0,10] and settles A there
+IMPOSSIBLE_TRIAL = (
+    "leaf-observed: trial seed 2968811710 replays events of probability zero under the "
+    "model: A=up at 7.686542061603189 resolved to up@[0,10]; "
+    "B=up at 12.95515005392829 resolved to up@[0,10]"
+)
+
+
+def test_evaluate_names_the_trial_whose_events_are_impossible():
+    net = compile_network(_contradicting_leaves())
+    assert trial_seed(0, 0) == 2968811710
+    with pytest.raises(ZeroProbabilityEvidenceError) as info:
+        evaluate(net, "leaf", 1000, 0)
+    assert str(info.value) == IMPOSSIBLE_TRIAL
+    # the named seed replays to the same evidence
+    trajectory = sample_trajectory(net, 2968811710)
+    session = open_session(net)
+    for event in reveal_events(net, trajectory, ("A", "B")):
+        session = session.observe(event)
+    assert session.resolved_evidence == {"A": NodeState("up", 0), "B": NodeState("up", 0)}
+    with pytest.raises(ZeroProbabilityEvidenceError):
+        session.predict()
