@@ -425,8 +425,11 @@ def marginals(
     once, and one forward and one backward pass over them give every
     target's marginal. A target with single-state evidence on it yields the
     matching point mass. Evidence whose probability is zero raises
-    ZeroProbabilityEvidenceError.
+    ZeroProbabilityEvidenceError. `targets` is any iterable of node ids but
+    a str, which would read as one id per character (TypeError).
     """
+    if isinstance(targets, str):
+        raise TypeError(f"targets must be a list of node ids, not the string {targets!r}")
     return _distributions(net, targets, evidence)
 
 

@@ -414,12 +414,26 @@ def _node_violations(node: NodeSpec) -> list[Violation]:
     else:
         if node.intervals:
             out.append(Violation(subject, "instantaneous node must not have intervals"))
-    for iv in node.intervals:
-        if not iv.lo < iv.hi:
+    # bounds are checked as the floats that sampling draws times from
+    for i, iv in enumerate(node.intervals, start=1):
+        try:
+            lo, hi = float(iv.lo), float(iv.hi)
+        except OverflowError:  # named by position, as `format_time` cannot print it
+            out.append(Violation(subject, f"interval {i} (counting from 1) has a bound too large for a float"))
+            continue
+        if not lo < hi:
             out.append(Violation(subject, f"interval {iv} is empty or reversed"))
-        if iv.lo < 0:
+        if lo < 0:
             out.append(Violation(subject, f"interval {iv} starts before time 0"))
     return out
+
+
+def _float_nonempty(iv: TimeInterval) -> bool:
+    """Whether lo < hi as floats; False for a bound too large for one."""
+    try:
+        return float(iv.lo) < float(iv.hi)
+    except OverflowError:
+        return False
 
 
 def _interval_chain_violations(node: NodeSpec) -> list[Violation]:
@@ -431,7 +445,7 @@ def _interval_chain_violations(node: NodeSpec) -> list[Violation]:
     ivs = node.intervals
     if node.kind is not NodeKind.TEMPORAL or not ivs:
         return out
-    if any(not iv.lo < iv.hi for iv in ivs):
+    if not all(map(_float_nonempty, ivs)):
         return out  # already reported; relations would be nonsense
     if any(a.lo >= b.lo for a, b in zip(ivs, ivs[1:])):
         out.append(Violation(subject, "intervals are not sorted by start time"))

@@ -5,13 +5,14 @@ change stamped with a concrete time drawn uniformly inside its interval. It
 takes its doubles from its stream as one `Generator.random` call would, one
 per node and one more per temporal node (the most it can use; unused ones
 change nothing, as each trajectory has its own stream). Node by node in
-topological order, in this module's sampling table (CDF rows read off the
-CPT factors on the network's first sample), the next double picks the
-state by bisecting the CDF row under the parents' sampled states, as
-`Generator.choice` would, and a timed state's next double `u` gives the
-time `lo + (hi - lo) * u`, as `Generator.uniform(lo, hi)` computes it.
-That equality is checked on x86-64; a numpy built to fuse the multiply-add
-(aarch64 compilers may) could differ in the last bit.
+topological order, in this module's sampling table (one record per node,
+read off the spec and the CPT factors on the network's first sample or
+reveal), the next double picks the state by bisecting the CDF row under
+the parents' sampled states, as `Generator.choice` would, and a timed
+state's next double `u` gives the time `lo + (hi - lo) * u`, as
+`Generator.uniform(lo, hi)` computes it. That equality is checked on
+x86-64; a numpy built to fuse the multiply-add (aarch64 compilers may)
+could differ in the last bit.
 
 `sample_trajectory` is the reference: one trajectory from
 `default_rng(seed)`, one scalar pass. A run (`evaluate`, `tnbn simulate`)
@@ -84,29 +85,31 @@ def _check_natural(name: str, value: int) -> None:
 
 
 class SamplingRow(NamedTuple):
-    """How `sample_trajectory` and a run draw one node of a compiled network.
+    """The one record per node that `sample_trajectory`, a run and the
+    reveal of a compiled network read.
 
     `cdf` holds the node's CDF rows, indexed by the state positions of
-    `parents` (parent axes, in axis order), and `rows` the same rows as
-    nested float lists. `bounds` gives, per state position, the interval a
-    change time is drawn from as a float pair (lo, hi), or None for a state
-    without one; such a state happens at `still` (0.0 for an instantaneous
-    node, None for a no-change state). `still` is None exactly for a
-    temporal node, the only kind that can take a second double. `lo` and
-    `span` hold each interval's lo and hi - lo by state position (0.0 for a
-    state without one).
+    `parents` (parent axes, in axis order). `lo` and `span` hold, per state
+    position, the float lo and hi - lo of the interval a change time is
+    drawn from; `span` is 0.0 exactly for a state without one (`validate`
+    refuses an interval that is empty as floats), and such a state happens
+    at `still` (0.0 for an instantaneous node, None for a no-change state).
+    `still` is None exactly for a temporal node, the only kind that can
+    take a second double. `default` is the node's default value and `end`
+    the time a revealed no-change assertion is stamped with (the end of the
+    covered range, or 0.0 without one).
     """
 
     node: str
     axis: int
     parents: tuple[int, ...]
-    rows: list
     states: tuple[NodeState, ...]
-    bounds: tuple[Optional[tuple[float, float]], ...]
     still: Optional[float]
     cdf: np.ndarray
-    lo: np.ndarray
-    span: np.ndarray
+    lo: tuple[float, ...]
+    span: tuple[float, ...]
+    default: Optional[str]
+    end: float
 
 
 _sampling_tables: WeakKeyDictionary[CompiledNetwork, tuple[SamplingRow, ...]] = WeakKeyDictionary()
@@ -116,7 +119,7 @@ def sampling_table(net: CompiledNetwork) -> tuple[SamplingRow, ...]:
     """One `SamplingRow` per node of `net`, in `topo` order: its CPT factor, own
     axis last, each row made cumulative as `Generator.choice` makes it, and
     its intervals as the floats `Generator.uniform` reads. Built on the
-    network's first sample and kept while the network lives."""
+    network's first sample or reveal and kept while the network lives."""
     table = _sampling_tables.get(net)
     if table is None:
         out = []
@@ -124,17 +127,19 @@ def sampling_table(net: CompiledNetwork) -> tuple[SamplingRow, ...]:
             axis = net.axes[nid]
             node = net.spec.node(nid)
             states = net.states[nid]
-            spans = [(float(iv.lo), float(iv.hi)) for iv in node.intervals]
-            bounds = tuple(None if s.interval_index is None else spans[s.interval_index] for s in states)
-            still = None if node.kind is NodeKind.TEMPORAL else 0.0
+            ivs = [None if s.interval_index is None else node.intervals[s.interval_index] for s in states]
             f = net.factors[axis]
-            parents = tuple(j for j in f.scope if j != axis)
             probs = np.ascontiguousarray(np.moveaxis(f.values, f.scope.index(axis), -1))
             cdf = (probs / probs.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
-            cdf = cdf / cdf[..., -1:]
-            lo = np.array([b[0] if b else 0.0 for b in bounds])
-            span = np.array([b[1] - b[0] if b else 0.0 for b in bounds])
-            out.append(SamplingRow(nid, axis, parents, cdf.tolist(), states, bounds, still, cdf, lo, span))
+            out.append(SamplingRow(
+                nid, axis, tuple(j for j in f.scope if j != axis), states,
+                still=None if node.kind is NodeKind.TEMPORAL else 0.0,
+                cdf=cdf / cdf[..., -1:],
+                lo=tuple(0.0 if iv is None else float(iv.lo) for iv in ivs),
+                span=tuple(0.0 if iv is None else float(iv.hi) - float(iv.lo) for iv in ivs),
+                default=node.default_value,
+                end=node.intervals[-1].hi if node.intervals else 0.0,
+            ))
         table = _sampling_tables[net] = tuple(out)
     return table
 
@@ -156,17 +161,13 @@ def sample_trajectory(net: CompiledNetwork, seed: int) -> Trajectory:
     u = iter(np.random.default_rng(seed).random(_draws(table)).tolist()).__next__
     pos = [0] * len(table)  # sampled state positions, by axis
     entries: list[Optional[TrajectoryEntry]] = [None] * len(pos)
-    for nid, axis, parents, row, states, bounds, still, *_ in table:
-        for j in parents:  # the CDF row under the parents' sampled states
-            row = row[pos[j]]
-        # the first entry above the double: what `Generator.choice` picks
-        k = pos[axis] = bisect_right(row, u())
-        iv = bounds[k]
-        if iv is None:
-            entries[axis] = TrajectoryEntry(nid, states[k], still)
-        else:  # what `Generator.uniform(lo, hi)` makes of the double
-            lo, hi = iv
-            entries[axis] = TrajectoryEntry(nid, states[k], lo + (hi - lo) * u())
+    for r in table:
+        # the first entry above the double, in the CDF row under the parents'
+        # sampled states: what `Generator.choice` picks
+        k = pos[r.axis] = bisect_right(r.cdf[tuple([pos[j] for j in r.parents])], u())
+        # what `Generator.uniform(lo, hi)` makes of the next double
+        time = r.lo[k] + r.span[k] * u() if r.span[k] > 0.0 else r.still
+        entries[r.axis] = TrajectoryEntry(r.node, r.states[k], time)
     return Trajectory(tuple(entries), seed)
 
 
@@ -215,7 +216,7 @@ CONDITIONS = ("root-observed", "intermediate-observed", "leaf-observed")
 
 
 def _tier_for(condition: str, tiers: NodeTiers) -> tuple[str, tuple[str, ...]]:
-    short = condition.strip().lower().removesuffix("-observed")
+    short = condition.strip().lower().removesuffix("-observed") if isinstance(condition, str) else None
     by_name = {
         "root": tiers.roots,
         "intermediate": tiers.intermediates,
@@ -390,8 +391,8 @@ def _sample(table: tuple[SamplingRow, ...], draws: int, seed: int, start: int, c
         k = pos[:, r.axis] = below.sum(axis=1)
         cursor += 1
         if r.still is None:  # a timed state (span > 0) takes the next double
-            span = r.span[k]
-            times[:, r.axis] = r.lo[k] + span * u[trial, cursor]
+            span = np.array(r.span)[k]
+            times[:, r.axis] = np.array(r.lo)[k] + span * u[trial, cursor]
             cursor += span > 0.0
     return seeds.tolist(), pos.tolist(), times.tolist()
 
@@ -421,11 +422,11 @@ def _trajectories(net: CompiledNetwork, seed: int, trials: int) -> Iterator[Traj
     blocks = _blocks(net, seed, trials)
 
     def run() -> Iterator[Trajectory]:
-        rows = sorted(sampling_table(net), key=lambda r: r.axis)
+        rows = _rows(net, net.node_ids)
         for seeds, positions, times in blocks:
             for s, pos, time in zip(seeds, positions, times):
                 entries = (
-                    TrajectoryEntry(r.node, r.states[k], r.still if r.bounds[k] is None else t)
+                    TrajectoryEntry(r.node, r.states[k], t if r.span[k] > 0.0 else r.still)
                     for r, k, t in zip(rows, pos, time)
                 )
                 yield Trajectory(tuple(entries), s)
@@ -433,38 +434,23 @@ def _trajectories(net: CompiledNetwork, seed: int, trials: int) -> Iterator[Traj
     return run()
 
 
-class _Reveal(NamedTuple):
-    """What the events of one revealed node need from the network: its
-    axis, its default value and the time a no-change assertion is stamped
-    with (the end of its covered range, or 0.0 without one)."""
-
-    node: str
-    axis: int
-    default: Optional[str]
-    end: float
+def _rows(net: CompiledNetwork, node_ids: tuple[str, ...]) -> list[SamplingRow]:
+    """The sampling rows of the nodes, in their order; an unknown node
+    raises `UnknownNodeError`."""
+    rows = sorted(sampling_table(net), key=lambda r: r.axis)
+    return [rows[net.index(nid)] for nid in node_ids]
 
 
-def _reveals(net: CompiledNetwork, revealed: tuple[str, ...]) -> list[_Reveal]:
-    """The `_Reveal` of each revealed node, read off the spec; an unknown
-    node raises `UnknownNodeError`."""
-    out = []
-    for nid in revealed:
-        node = net.spec.node(nid)
-        end = node.intervals[-1].hi if node.intervals else 0.0
-        out.append(_Reveal(nid, net.axes[nid], node.default_value, end))
-    return out
-
-
-def _events(reveals: list[_Reveal], sampled: list[tuple[NodeState, Optional[float]]]) -> list[ObservedEvent]:
+def _events(reveals: list[SamplingRow], sampled: list[tuple[NodeState, Optional[float]]]) -> list[ObservedEvent]:
     """The events of the revealed nodes, given each one's sampled state and
     time: changes first, by time, then no-change assertions; ties go by
     axis."""
     events = []
-    for (nid, axis, default, end), (state, time) in zip(reveals, sampled):
+    for r, (state, time) in zip(reveals, sampled):
         value = state.value
-        asserted = default is not None and value == default
-        tc = end if asserted else time if time is not None else 0.0
-        events.append((asserted, tc, axis, ObservedEvent(nid, value, tc)))
+        asserted = r.default is not None and value == r.default
+        tc = r.end if asserted else time if time is not None else 0.0
+        events.append((asserted, tc, r.axis, ObservedEvent(r.node, value, tc)))
     events.sort(key=lambda item: item[:3])
     return [e for *_, e in events]
 
@@ -478,8 +464,7 @@ def reveal_events(net: CompiledNetwork, trajectory: Trajectory, revealed: tuple[
     are looked up by node, so the trajectory's order does not matter; a
     revealed node it lacks raises KeyError.
     """
-    reveals = _reveals(net, revealed)
-    return _events(reveals, [trajectory.entry(nid)[1:] for nid in revealed])
+    return _events(_rows(net, revealed), [trajectory.entry(nid)[1:] for nid in revealed])
 
 
 def _impossible(condition: str, seed: int, session: Session) -> ZeroProbabilityEvidenceError:
@@ -520,8 +505,8 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
         raise EmptyTierError(
             f"this network has no {condition.removesuffix('-observed')} tier to reveal"
         )
-    reveals = _reveals(net, revealed)
-    revealed_states = [(r.axis, net.states[r.node]) for r in reveals]
+    reveals = _rows(net, revealed)
+    revealed_axes = [r.axis for r in reveals]
     hidden = tuple(n for n in net.node_ids if n not in revealed)
     hidden_axes = [net.axes[n] for n in hidden]
     if not hidden:
@@ -540,11 +525,11 @@ def evaluate(net: CompiledNetwork, condition: str, trials: int, seed: int = 0) -
     replayed: dict[tuple, list[list[tuple[float, float]]]] = {}
     for seeds, positions, times in blocks:
         for seed_t, pos, time in zip(seeds, positions, times):
-            sample = tuple((pos[a], time[a]) for a, _ in revealed_states)
+            sample = tuple((pos[a], time[a]) for a in revealed_axes)
             rows = replayed.get(sample)
             if rows is None:
                 session = open_session(net)
-                for event in _events(reveals, [(states[pos[a]], time[a]) for a, states in revealed_states]):
+                for event in _events(reveals, [(r.states[pos[r.axis]], time[r.axis]) for r in reveals]):
                     session = session.observe(event)
                 key = (
                     frozenset(session.resolved_evidence.items()),

@@ -28,6 +28,7 @@ from tnbn import (
     marginals,
     open_session,
     posterior,
+    sample_trajectory,
 )
 
 from netgen import random_evidence, random_network
@@ -597,6 +598,65 @@ def test_single_state_and_set_evidence_obey_their_relations(seed):
     assert math.isclose(both, parts, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def _hard_evidence(rng, net, count):
+    """`count` nodes at their states in one sampled world, so P(e) > 0."""
+    world = sample_trajectory(net, int(rng.integers(2**32)))
+    ids = [net.node_ids[int(i)] for i in rng.choice(len(net.node_ids), size=count, replace=False)]
+    return {nid: world.state_of(nid) for nid in ids}
+
+
+# Seed 3 is left out: its all-node marginals trip FactorSizeError.
+@pytest.mark.parametrize("seed", [0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11])
+def test_declaration_order_changes_no_answer(seed):
+    # a permuted node list gives other axes, ties and elimination orders,
+    # yet the same marginals and log P(e)
+    rng = np.random.default_rng(seed)
+    spec = random_network(rng, n_nodes=120, edge_share=0.02)
+    net = compile_network(spec)
+    evidence = _hard_evidence(rng, net, 6)
+    want = marginals(net, net.node_ids, evidence)
+    log_z = log_evidence_probability(net, evidence)
+    for _ in range(2):
+        nodes = tuple(spec.nodes[int(i)] for i in rng.permutation(len(spec.nodes)))
+        other = compile_network(NetworkSpec(spec.name, spec.time_unit, nodes, spec.edges, spec.tables))
+        assert other.node_ids != net.node_ids
+        got = marginals(other, other.node_ids, evidence)
+        for nid in net.node_ids:
+            assert np.max(np.abs(got[nid].probs - want[nid].probs)) <= 1e-12
+        assert math.isclose(log_evidence_probability(other, evidence), log_z, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_barren_node_changes_no_answer(seed, accident_spec):
+    # an unobserved node with no child is pruned from every query that does
+    # not target it: appended as a child or unconnected, it changes no bit
+    rng = np.random.default_rng(seed)
+    spec = accident_spec if seed == 0 else random_network(rng, n_nodes=60, edge_share=0.05)
+    net = compile_network(spec)
+    parent = net.node_ids[int(rng.integers(len(net.node_ids)))]
+    two = ("a", "b")
+    barren = NetworkSpec(
+        spec.name,
+        spec.time_unit,
+        spec.nodes + (NodeSpec("CHILD", NodeKind.INSTANTANEOUS, two), NodeSpec("LONE", NodeKind.INSTANTANEOUS, two)),
+        spec.edges + ((parent, "CHILD"),),
+        {
+            **spec.tables,
+            "CHILD": ConditionalTable(
+                "CHILD", (parent,), {(s,): tuple(rng.dirichlet(np.ones(2))) for s in net.states[parent]}
+            ),
+            "LONE": ConditionalTable("LONE", (), {(): (0.25, 0.75)}),
+        },
+    )
+    bigger = compile_network(barren)
+    for count in (0, 1, 3):
+        evidence = _hard_evidence(rng, net, count)
+        got, want = marginals(bigger, net.node_ids, evidence), marginals(net, net.node_ids, evidence)
+        assert all(np.array_equal(got[nid].probs, want[nid].probs) for nid in net.node_ids)
+        assert log_evidence_probability(bigger, evidence) == log_evidence_probability(net, evidence)
+        assert np.array_equal(posterior(bigger, parent, evidence).probs, posterior(net, parent, evidence).probs)
+
+
 def test_marginals_eliminate_from_the_ancestral_set_of_all_targets(monkeypatch):
     calls = record_contractions(monkeypatch)
     for seed in range(30):
@@ -718,6 +778,15 @@ def test_marginals_errors_and_point_masses(accident_net):
         marginals(accident_net, ["HI"], bad)
     with pytest.raises(ZeroProbabilityEvidenceError):
         marginals(accident_net, ["VS", "HI"], bad)
+
+
+def test_marginals_refuses_a_string_of_targets(accident_net):
+    # "HI" would otherwise ask for nodes H and I
+    with pytest.raises(TypeError, match="list of node ids"):
+        marginals(accident_net, "HI")
+    with pytest.raises(TypeError):
+        marginals(accident_net, "")
+    assert list(marginals(accident_net, ("HI",))) == ["HI"]
 
 
 def test_factor_size_guard_trips_before_any_product(accident_net, monkeypatch):

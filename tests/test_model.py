@@ -319,6 +319,30 @@ def test_validate_empty_or_negative_interval():
     assert any("before time 0" in m for m in _messages(_tiny_net(nodes=(base, bad))))
 
 
+def test_a_bound_too_large_for_a_float_is_one_violation():
+    # an int bound past the float range: no OverflowError, and no text of it
+    base = _tiny_net().nodes[0]
+    bad = NodeSpec("B", NodeKind.TEMPORAL, ("hot",), "cold", (iv(0, 10), iv(10, 10**400)))
+    spec = _tiny_net(nodes=(base, bad))
+    assert _messages(spec) == ["node B: interval 2 (counting from 1) has a bound too large for a float"]
+    with pytest.raises(InvalidNetworkError, match="too large for a float"):
+        compile_network(spec)
+
+
+def test_intervals_empty_as_floats_are_empty():
+    # distinct ints that round to one float: the sampler would see two empty
+    # intervals, so validate reports both and skips the layout checks
+    base = _tiny_net().nodes[0]
+    t = 2**60
+    bad = NodeSpec("B", NodeKind.TEMPORAL, ("hot",), "cold", (iv(t, t + 1), iv(t + 1, t + 2)))
+    assert float(t) == float(t + 1) == float(t + 2)
+    empty = f"node B: interval [{format_time(t)},{format_time(t)}] is empty or reversed"
+    spec = _tiny_net(nodes=(base, bad))
+    assert _messages(spec) == [empty, empty]
+    with pytest.raises(InvalidNetworkError):
+        compile_network(spec)
+
+
 def test_validate_single_interval_node_is_legal():
     a = _tiny_net().nodes[0]
     b = NodeSpec("B", NodeKind.TEMPORAL, ("hot",), "cold", (iv(0, 5),))

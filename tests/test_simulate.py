@@ -29,7 +29,9 @@ from tnbn import (
     accuracy_score,
     compile_network,
     evaluate,
+    evidence_probability,
     joint_enumerate,
+    marginals,
     node_tiers,
     posterior,
     rbs_score,
@@ -152,7 +154,7 @@ def test_cumulative_tables_are_built_on_first_sample(accident_spec):
         table = sampling_table(net)
         assert sorted(r.axis for r in table) == list(range(len(net.node_ids)))
         for r in table:
-            rows = np.array(r.rows)
+            rows = r.cdf
             # indexed by the parents' state positions in axis order
             parents = sorted(net.spec.parents(r.node), key=net.axes.get)
             assert r.parents == tuple(net.axes[p] for p in parents)
@@ -160,7 +162,7 @@ def test_cumulative_tables_are_built_on_first_sample(accident_spec):
             assert np.all(rows[..., -1] == 1.0)
             assert np.all(np.diff(rows, axis=-1) >= 0.0)
             # each row, bit for bit, as `Generator.choice` builds it from the CPT row
-            assert r.rows == _choice_rows(net, r.node)
+            assert r.cdf.tolist() == _choice_rows(net, r.node)
 
 
 def test_the_sampling_table_is_built_once_and_sampling_reads_no_spec(accident_spec, monkeypatch):
@@ -169,7 +171,7 @@ def test_the_sampling_table_is_built_once_and_sampling_reads_no_spec(accident_sp
     sample_trajectory(net, trial_seed(3, 0))
     table = tnbn.simulate._sampling_tables[net]
     assert [r.node for r in table] == list(net.topo)
-    assert [r.rows for r in table] == [_choice_rows(net, r.node) for r in table]
+    assert [r.cdf.tolist() for r in table] == [_choice_rows(net, r.node) for r in table]
     calls = []
     original = NetworkSpec.node
 
@@ -571,6 +573,12 @@ def test_evaluate_empty_tier():
     assert str(info.value) == "revealing the root tier leaves no hidden node to score"
 
 
+@pytest.mark.parametrize("condition", [None, 3, b"root", ("root",)], ids=["none", "int", "bytes", "tuple"])
+def test_a_condition_that_is_not_a_string_is_an_unknown_condition(accident_net, condition):
+    with pytest.raises(ValueError, match="unknown condition"):
+        evaluate(accident_net, condition, 10)
+
+
 @pytest.mark.parametrize("tier", ["roots", "intermediates"])
 def test_a_revealed_instantaneous_tier_resolves_to_the_sampled_states(accident_net, tier):
     # as under root-observed and intermediate-observed
@@ -610,6 +618,51 @@ def test_evaluate_with_instantaneous_evidence_matches_direct_scoring(accident_ne
             ]
         )
         assert report.rbs[t] == pytest.approx(float(rbs_direct), abs=1e-12)
+
+
+def _expected_scores(net, revealed):
+    """The exact expected (accuracy, RBS) of a trial that reveals `revealed`,
+    all instantaneous (so a trial's evidence is exactly its revealed states
+    e): the sum over e of P(e) times the mean over hidden nodes h of
+    sum_x P(h = x | e) * score(P(h | e), x). Neither the sampler nor a
+    session enters."""
+    hidden = [n for n in net.node_ids if n not in revealed]
+    totals = np.zeros(2)
+    for combo in itertools.product(*(net.states[n] for n in revealed)):
+        e = dict(zip(revealed, combo))
+        p = evidence_probability(net, e)
+        if p == 0.0:
+            continue  # never sampled
+        forecasts = list(marginals(net, hidden, e).values())
+        totals += p * np.array([
+            np.mean([sum(q * score(d, x) for x, q in zip(d.states, d.probs)) for d in forecasts])
+            for score in (accuracy_score, rbs_score)
+        ])
+    return tuple(totals)
+
+
+def test_expected_scores_on_the_accident_network_are_the_exact_ones(accident_net):
+    assert _expected_scores(accident_net, ("C",)) == pytest.approx((67.682, 78.878), abs=5e-4)
+    assert _expected_scores(accident_net, ("HI", "IB")) == pytest.approx((86.309, 89.704), abs=5e-4)
+
+
+@pytest.mark.parametrize("net_seed", [None, 1, 3, 14])
+@pytest.mark.parametrize("condition", ["root", "intermediate"])
+def test_evaluate_scores_lie_near_their_exact_expectation(accident_net, net_seed, condition):
+    # the sampler, the reveal, the session and the scoring against exact
+    # inference: each mean within 4 standard errors of its expectation
+    if net_seed is None:
+        net = accident_net
+    else:
+        net = compile_network(random_network(np.random.default_rng(net_seed), n_nodes=8))
+    n = 1000
+    report = evaluate(net, condition, n, seed=0)
+    assert all(net.spec.node(v).kind is NodeKind.INSTANTANEOUS for v in report.revealed)
+    exact = _expected_scores(net, report.revealed)
+    for mean, std, want in zip(
+        (report.accuracy_mean, report.rbs_mean), (report.accuracy_std, report.rbs_std), exact
+    ):
+        assert abs(mean - want) <= 4 * std / n**0.5
 
 
 def test_evaluate_runs_on_random_networks():
